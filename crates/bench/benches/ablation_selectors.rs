@@ -6,7 +6,8 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::core::{algorithms, greedy, parallel, sketch};
+use mc2ls::core::algorithms::{self, run_selector, Selector};
+use mc2ls::core::{parallel, sketch};
 use mc2ls::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -18,8 +19,12 @@ fn bench(c: &mut Criterion) {
     let problem = mc2ls_bench::problem_with(&dataset, 300, 200, 20, 0.7);
     let (sets, _, _) = algorithms::influence_sets(&problem, Method::Iqt(IqtConfig::default()));
 
-    group.bench_function("greedy", |b| b.iter(|| greedy::select(&sets, 20)));
-    group.bench_function("celf", |b| b.iter(|| greedy::select_lazy(&sets, 20)));
+    group.bench_function("greedy", |b| {
+        b.iter(|| run_selector(Selector::Greedy, &sets, 20, 1))
+    });
+    group.bench_function("celf", |b| {
+        b.iter(|| run_selector(Selector::LazyGreedy, &sets, 20, 1))
+    });
     group.bench_function("fm-sketch", |b| {
         b.iter(|| sketch::select_sketched(&sets, 20, 32))
     });

@@ -6,7 +6,8 @@
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::core::{algorithms, greedy, InvertedIndex};
+use mc2ls::core::algorithms::{self, run_selector, Selector};
+use mc2ls::core::InvertedIndex;
 use mc2ls::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -20,15 +21,15 @@ fn bench(c: &mut Criterion) {
 
     for k in [5usize, 20, 60] {
         let k = k.min(sets.n_candidates());
-        group.bench_with_input(BenchmarkId::new("rescan", k), &k, |b, &k| {
-            b.iter(|| greedy::select(&sets, k))
-        });
-        group.bench_with_input(BenchmarkId::new("celf", k), &k, |b, &k| {
-            b.iter(|| greedy::select_lazy(&sets, k))
-        });
-        group.bench_with_input(BenchmarkId::new("decremental", k), &k, |b, &k| {
-            b.iter(|| greedy::select_decremental(&sets, k))
-        });
+        for (name, selector) in [
+            ("rescan", Selector::Greedy),
+            ("celf", Selector::LazyGreedy),
+            ("decremental", Selector::Decremental),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, k), &k, |b, &k| {
+                b.iter(|| run_selector(selector, &sets, k, 1))
+            });
+        }
     }
 
     for threads in [1usize, 4] {

@@ -22,7 +22,7 @@
 //! counters are double-digit noise; at scale ≥ 0.3 every row qualifies.
 
 use crate::{Ctx, ExperimentResult};
-use mc2ls::core::greedy;
+use mc2ls::core::algorithms::{run_selector, Selector};
 use mc2ls::prelude::*;
 use serde_json::json;
 use std::time::{Duration, Instant};
@@ -68,9 +68,9 @@ pub fn greedy(ctx: &Ctx) -> ExperimentResult {
                 // k admissible and record what actually ran.
                 let k = k_req.min(sets.n_candidates());
 
-                let (reference, rescan_stats) = greedy::select_counted(&sets, k);
-                let (celf_sol, celf_stats) = greedy::select_lazy_counted(&sets, k, 1);
-                let (dec_sol, dec_stats) = greedy::select_decremental_counted(&sets, k, 1);
+                let (reference, rescan_stats) = run_selector(Selector::Greedy, &sets, k, 1);
+                let (celf_sol, celf_stats) = run_selector(Selector::LazyGreedy, &sets, k, 1);
+                let (dec_sol, dec_stats) = run_selector(Selector::Decremental, &sets, k, 1);
                 for (label, sol) in [("celf", &celf_sol), ("decremental", &dec_sol)] {
                     assert_eq!(
                         reference.selected, sol.selected,
@@ -85,12 +85,12 @@ pub fn greedy(ctx: &Ctx) -> ExperimentResult {
                 // The counters must not depend on the worker count.
                 assert_eq!(
                     celf_stats,
-                    greedy::select_lazy_counted(&sets, k, 4).1,
+                    run_selector(Selector::LazyGreedy, &sets, k, 4).1,
                     "CELF stats diverged at 4 threads ({name} |C|={n_c} k={k})"
                 );
                 assert_eq!(
                     dec_stats,
-                    greedy::select_decremental_counted(&sets, k, 4).1,
+                    run_selector(Selector::Decremental, &sets, k, 4).1,
                     "decremental stats diverged at 4 threads ({name} |C|={n_c} k={k})"
                 );
                 assert!(
@@ -107,21 +107,16 @@ pub fn greedy(ctx: &Ctx) -> ExperimentResult {
                     );
                 }
 
-                let rescan_ms = median_of(ctx.reps, || {
-                    let t = Instant::now();
-                    std::hint::black_box(greedy::select(&sets, k));
-                    t.elapsed()
-                });
-                let celf_ms = median_of(ctx.reps, || {
-                    let t = Instant::now();
-                    std::hint::black_box(greedy::select_lazy(&sets, k));
-                    t.elapsed()
-                });
-                let dec_ms = median_of(ctx.reps, || {
-                    let t = Instant::now();
-                    std::hint::black_box(greedy::select_decremental(&sets, k));
-                    t.elapsed()
-                });
+                let time = |selector| {
+                    median_of(ctx.reps, || {
+                        let t = Instant::now();
+                        std::hint::black_box(run_selector(selector, &sets, k, 1));
+                        t.elapsed()
+                    })
+                };
+                let rescan_ms = time(Selector::Greedy);
+                let celf_ms = time(Selector::LazyGreedy);
+                let dec_ms = time(Selector::Decremental);
 
                 rows.push(
                     crate::RowBuilder::new()

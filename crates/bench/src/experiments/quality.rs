@@ -6,7 +6,8 @@
 
 use crate::{percent, Ctx, ExperimentResult};
 use mc2ls::core::algorithms::topk::select_top_k_single;
-use mc2ls::core::{algorithms, greedy, sketch, InfluenceSets};
+use mc2ls::core::algorithms::{self, run_selector, Selector};
+use mc2ls::core::{sketch, InfluenceSets};
 use mc2ls::prelude::*;
 use serde_json::json;
 
@@ -28,7 +29,7 @@ pub fn quality(ctx: &Ctx) -> ExperimentResult {
             let (sets, _, _) =
                 algorithms::influence_sets(&problem, Method::Iqt(IqtConfig::default()));
 
-            let greedy_sol = greedy::select(&sets, k);
+            let greedy_sol = run_selector(Selector::Greedy, &sets, k, 1).0;
             let topk_sol = select_top_k_single(&sets, k);
             let sketch_sol = sketch::select_sketched(&sets, k, 48);
 
@@ -40,7 +41,7 @@ pub fn quality(ctx: &Ctx) -> ExperimentResult {
                 user_ids.to_vec(),
                 vec![0; sets.n_users()],
             );
-            let blind_pick = greedy::select(&blind_sets, k);
+            let blind_pick = run_selector(Selector::Greedy, &blind_sets, k, 1).0;
             let blind_value = sets.cinf_set(&blind_pick.selected);
 
             let rel = |v: f64| percent(v / greedy_sol.cinf.max(1e-12));

@@ -15,13 +15,12 @@ commands:
              [--method baseline|kcifp|iqt|iqt-c|iqt-pino] [--threads T]
              [--block-size auto|plain|B] [--pf-exact]
              [--model cumulative|logit] [--candidates-file FILE]
-             [--lazy-greedy true|false]
              [--selector rescan|celf|decremental|auto]
              [--svg FILE] [--json]
   analyze    --data FILE | --preset P [--scale S]
              [--candidates N] [--facilities M] [-k K] [--tau T]
              [--block-size auto|plain|B] [--pf-exact]
-             [--lazy-greedy true|false]
+             [--selector rescan|celf|decremental|auto]
   convert    --checkins FILE --out FILE [--bounds ny|ca] [--min-positions N]
   candgen    --data FILE | --preset P [--scale S] --window W --out FILE
              [-m M] [--min-separation D] [--threads T] [--json]

@@ -90,9 +90,10 @@ fn parse_method(name: &str) -> Result<Method, ArgError> {
     })
 }
 
-/// Parses a `--selector` value (shared by `solve` and `query`).
-fn parse_selector(name: &str) -> Result<Selector, ArgError> {
-    Ok(match name {
+/// Parses the `--selector` flag (shared by `solve`, `analyze` and
+/// `query`), `auto` when absent.
+fn parse_selector(parsed: &Parsed) -> Result<Selector, ArgError> {
+    Ok(match parsed.get("selector").unwrap_or("auto") {
         "rescan" => Selector::Greedy,
         "celf" => Selector::LazyGreedy,
         "decremental" => Selector::Decremental,
@@ -182,13 +183,8 @@ fn solve_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     }
     // All selectors return byte-identical solutions; `--selector` picks how
     // the greedy rounds are computed (`auto` chooses decremental vs CELF
-    // from the instance shape). The older `--lazy-greedy true|false` flag
-    // remains as a fallback when `--selector` is absent.
-    let selector = match parsed.get("selector") {
-        Some(name) => parse_selector(name)?,
-        None if parsed.get_or("lazy-greedy", true)? => Selector::LazyGreedy,
-        None => Selector::Greedy,
-    };
+    // from the instance shape).
+    let selector = parse_selector(parsed)?;
 
     let (problem, _name) = problem_from_flags(parsed)?;
     // The influence phases fan out over `threads` workers; the result is
@@ -233,13 +229,10 @@ fn analyze<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     use mc2ls::core::analysis;
     let (problem, _name) = problem_from_flags(parsed)?;
     let k = problem.k;
+    let selector = parse_selector(parsed)?;
     let (sets, _, _) =
         mc2ls::core::algorithms::influence_sets(&problem, Method::Iqt(IqtConfig::default()));
-    let solution = if parsed.get_or("lazy-greedy", true)? {
-        mc2ls::core::greedy::select_lazy(&sets, k)
-    } else {
-        mc2ls::core::greedy::select(&sets, k)
-    };
+    let (solution, _) = mc2ls::core::algorithms::run_selector(selector, &sets, k, 1);
 
     let demand = analysis::demand_summary(&sets);
     writeln!(out, "demand landscape")?;
@@ -652,10 +645,7 @@ fn query_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
             flag => parse_block_size(flag)?,
         },
         pf_exact: parsed.switch("pf-exact"),
-        selector: match parsed.get("selector") {
-            Some(name) => parse_selector(name)?,
-            None => Selector::Auto,
-        },
+        selector: parse_selector(parsed)?,
         // Default to the model the snapshot was built to serve, so a plain
         // `query --addr …` works against any deployment; an explicit flag
         // is validated server-side against the snapshot META.
@@ -859,25 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_greedy_flag_does_not_change_the_answer() {
-        // CELF (the default) and the re-evaluating greedy must select the
-        // same sites with the same cinf.
-        let base = "solve --preset new-york --scale 0.05 --candidates 15 --facilities 20 -k 3";
-        let (code, lazy) = call(base);
-        assert_eq!(code, 0, "{lazy}");
-        let (code, eager) = call(&format!("{base} --lazy-greedy false"));
-        assert_eq!(code, 0, "{eager}");
-        let pick = |s: &str, prefix: &str| {
-            s.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap()
-                .to_owned()
-        };
-        assert_eq!(pick(&lazy, "selected"), pick(&eager, "selected"));
-        assert_eq!(pick(&lazy, "cinf"), pick(&eager, "cinf"));
-    }
-
-    #[test]
     fn block_size_flag_does_not_change_the_answer() {
         // A fixed block size, the auto-tuned default and the plain kernel
         // (--block-size plain) make identical decisions, so the solution
@@ -923,8 +894,8 @@ mod tests {
 
     #[test]
     fn selector_flag_variants_agree() {
-        // rescan, celf, decremental and auto must print the exact same
-        // selected set, cinf and covered-user count.
+        // rescan, celf, decremental, auto and the flag's default must
+        // print the exact same selected set, cinf and covered-user count.
         let base = "solve --preset new-york --scale 0.05 --candidates 15 --facilities 20 -k 3";
         let pick = |s: &str, prefix: &str| {
             s.lines()
@@ -935,17 +906,37 @@ mod tests {
         let (code, reference) = call(&format!("{base} --selector rescan"));
         assert_eq!(code, 0, "{reference}");
         assert!(pick(&reference, "covered:").contains("users"));
-        for selector in ["celf", "decremental", "auto"] {
-            let (code, got) = call(&format!("{base} --selector {selector}"));
+        for flag in [
+            "--selector celf",
+            "--selector decremental",
+            "--selector auto",
+            "",
+        ] {
+            let (code, got) = call(&format!("{base} {flag}"));
             assert_eq!(code, 0, "{got}");
             for prefix in ["selected", "cinf", "covered"] {
-                assert_eq!(
-                    pick(&reference, prefix),
-                    pick(&got, prefix),
-                    "--selector {selector}"
-                );
+                assert_eq!(pick(&reference, prefix), pick(&got, prefix), "{flag:?}");
             }
         }
+    }
+
+    #[test]
+    fn lazy_greedy_flag_does_not_change_the_answer() {
+        // `analyze` switches between lazy (CELF) and re-evaluating greedy
+        // through `--selector`, like `solve`; every choice, and the default,
+        // must print the same report.
+        let base = "analyze --preset new-york --scale 0.05 --candidates 15 --facilities 20 -k 3";
+        let (code, eager) = call(&format!("{base} --selector rescan"));
+        assert_eq!(code, 0, "{eager}");
+        assert!(eager.contains("selected sites"), "{eager}");
+        for flag in ["--selector celf", "--selector decremental", ""] {
+            let (code, got) = call(&format!("{base} {flag}"));
+            assert_eq!(code, 0, "{got}");
+            assert_eq!(got, eager, "{flag:?}");
+        }
+        let (code, out) = call(&format!("{base} --selector quantum"));
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("bad value"), "{out}");
     }
 
     #[test]

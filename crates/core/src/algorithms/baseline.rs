@@ -62,7 +62,7 @@ pub fn influence_sets<PF: ProbabilityFunction>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy;
+    use crate::algorithms::{run_selector, Selector};
     use mc2ls_geo::Point;
     use mc2ls_influence::{MovingUser, Sigmoid};
 
@@ -133,7 +133,7 @@ mod tests {
     fn greedy_on_baseline_sets_picks_best_pair() {
         let p = small_problem();
         let (sets, _, _) = influence_sets(&p);
-        let sol = greedy::select(&sets, 2);
+        let sol = run_selector(Selector::Greedy, &sets, 2, 1).0;
         // User 1 is uncontested (weight 1) so candidate 1 is first; then
         // candidate 0 adds user 0 at weight 1/2.
         assert_eq!(sol.selected, vec![1, 0]);

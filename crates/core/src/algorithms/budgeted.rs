@@ -10,7 +10,8 @@
 //! `(1 − 1/√e) ≈ 0.39` guarantee for budgeted submodular maximisation
 //! (Khuller–Moss–Naor / Leskovec et al.).
 
-use crate::{greedy, InfluenceSets, Solution};
+use super::{run_selector, Selector};
+use crate::{InfluenceSets, Solution};
 
 /// Exhaustive optimum over affordable subsets — exponential; test oracle
 /// only.
@@ -127,7 +128,7 @@ fn solution_for(sets: &InfluenceSets, mut selected: Vec<u32>) -> Solution {
 /// Convenience: uniform costs make the budgeted solver equivalent to the
 /// cardinality greedy with `k = ⌊B⌋`.
 pub fn solve_unit_cost(sets: &InfluenceSets, k: usize) -> Solution {
-    greedy::select(sets, k)
+    run_selector(Selector::Greedy, sets, k, 1).0
 }
 
 #[cfg(test)]

@@ -241,7 +241,7 @@ pub fn solve_exact(sets: &InfluenceSets, k: usize) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy;
+    use crate::algorithms::{run_selector, Selector};
 
     fn paper_sets() -> InfluenceSets {
         InfluenceSets::new(vec![vec![0, 1], vec![1, 3], vec![0, 2]], vec![1, 2, 0, 1])
@@ -262,7 +262,7 @@ mod tests {
     fn greedy_meets_approximation_bound_on_paper_example() {
         let s = paper_sets();
         let opt = solve_exact(&s, 2);
-        let g = greedy::select(&s, 2);
+        let g = run_selector(Selector::Greedy, &s, 2, 1).0;
         // Greedy picks {c₃, c₂} here, which is optimal.
         assert!(g.cinf >= (1.0 - 1.0 / std::f64::consts::E) * opt.cinf - 1e-12);
         assert!((g.cinf - opt.cinf).abs() < 1e-12);
@@ -292,7 +292,7 @@ mod tests {
             let sets = InfluenceSets::new(omega_c, f_count);
             let k = 1 + (next() as usize % n_cands.min(4));
             let opt = solve_exact(&sets, k);
-            let g = greedy::select(&sets, k);
+            let g = run_selector(Selector::Greedy, &sets, k, 1).0;
             assert!(opt.cinf >= g.cinf - 1e-9, "exact below greedy!");
             assert!(
                 g.cinf >= (1.0 - 1.0 / std::f64::consts::E) * opt.cinf - 1e-9,

@@ -10,7 +10,7 @@
 //! The four phases: (1) index-based pruning via `Traverse` (Algorithm 3),
 //! (2) exact verification with early stopping of the undecided pairs,
 //! (3) competitive-influence computation, (4) greedy updating — phase 3/4
-//! live in [`crate::greedy`]; this module produces the influence sets.
+//! live in [`crate::select`]; this module produces the influence sets.
 
 use crate::algorithms::IqtConfig;
 use crate::parallel::{map_chunks, map_items};

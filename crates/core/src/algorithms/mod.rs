@@ -7,7 +7,10 @@ pub mod iqt;
 pub mod kcifp;
 pub mod topk;
 
-use crate::{greedy, InfluenceSets, PhaseTimes, Problem, PruneStats, RunReport, SelectionStats};
+use crate::{
+    select, GatherScratch, InfluenceSets, InvertedIndex, PhaseTimes, Problem, PruneStats,
+    RunReport, SelectOpts, SelectionStats, SetRows,
+};
 use mc2ls_influence::{CompetitionModel, Model, ProbabilityFunction};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -110,46 +113,50 @@ pub enum Selector {
 /// budget; otherwise CELF's pruning on the forward CSR wins. Non-`Auto`
 /// selectors resolve to themselves.
 pub fn resolve_selector(selector: Selector, sets: &InfluenceSets, k: usize) -> Selector {
+    resolve(selector, sets.total_influences(), sets.n_candidates(), k)
+}
+
+/// [`resolve_selector`] over an instance's shape: `Σ|Ω_c|` and `|C|`.
+pub(crate) fn resolve(
+    selector: Selector,
+    total_influences: usize,
+    n_candidates: usize,
+    k: usize,
+) -> Selector {
     match selector {
-        Selector::Auto => {
-            if sets.total_influences() <= k * sets.n_candidates() {
-                Selector::Decremental
-            } else {
-                Selector::LazyGreedy
-            }
-        }
+        Selector::Auto if total_influences <= k * n_candidates => Selector::Decremental,
+        Selector::Auto => Selector::LazyGreedy,
         s => s,
     }
 }
 
 /// Runs the (resolved) selector, returning the solution plus its
-/// [`SelectionStats`] work counters. Public so callers holding
-/// pre-computed (or deserialized) [`InfluenceSets`] — notably the
-/// `mc2ls-serve` query engine — can run the selection phase alone without
-/// re-deriving the influence relationships.
+/// [`SelectionStats`] work counters: a one-shard [`select`] over the owned
+/// sets. Public so callers holding pre-computed (or deserialized)
+/// [`InfluenceSets`] can run the selection phase alone without re-deriving
+/// the influence relationships.
+///
+/// # Panics
+/// Panics when `k` exceeds the candidate count or `threads == 0`.
 pub fn run_selector(
     selector: Selector,
     sets: &InfluenceSets,
     k: usize,
     threads: usize,
 ) -> (crate::Solution, SelectionStats) {
-    run_selector_model(selector, sets, k, threads, &Model::Cumulative)
+    select_sets(selector, sets, k, threads, &Model::Cumulative)
 }
 
-/// [`run_selector`] under an arbitrary competition model, with the
-/// **submodularity routing rule**: a model declaring
+/// The owned-sets selection path, with the **submodularity routing
+/// rule**: a model declaring
 /// [`is_submodular`](CompetitionModel::is_submodular) runs the requested
 /// greedy-family selector (all byte-identical); a non-submodular model is
 /// routed to the exact branch-and-bound oracle
 /// ([`exact::solve_exact_model`]) regardless of `selector`, because
 /// greedy's marginal-gain argument certifies nothing there. The exact
-/// route is capped at [`exact::MAX_EXACT_CANDIDATES`] candidates.
-///
-/// # Panics
-/// Panics when `k` exceeds the candidate count, `threads == 0`, or a
-/// non-submodular model is run on more than
-/// [`exact::MAX_EXACT_CANDIDATES`] candidates.
-pub fn run_selector_model<M: CompetitionModel + Sync>(
+/// route is capped at [`exact::MAX_EXACT_CANDIDATES`] candidates. Only
+/// the decremental selector gets the inverted CSR built.
+fn select_sets<M: CompetitionModel + Sync>(
     selector: Selector,
     sets: &InfluenceSets,
     k: usize,
@@ -165,13 +172,20 @@ pub fn run_selector_model<M: CompetitionModel + Sync>(
         };
         return (solution, stats);
     }
-    match resolve_selector(selector, sets, k) {
-        Selector::Greedy => greedy::select_counted_model(sets, k, model),
-        Selector::LazyGreedy => greedy::select_lazy_counted_model(sets, k, threads, model),
-        Selector::Decremental => greedy::select_decremental_counted_model(sets, k, threads, model),
-        // lint:allow(panic-propagation): resolve_selector maps Auto to a concrete selector
-        Selector::Auto => unreachable!("resolve_selector never returns Auto"),
-    }
+    let selector = resolve_selector(selector, sets, k);
+    let inverted = (selector == Selector::Decremental).then(|| InvertedIndex::build(sets, threads));
+    let rows = [SetRows {
+        sets,
+        inverted: inverted.as_ref(),
+    }];
+    let opts = SelectOpts {
+        selector,
+        model,
+        threads,
+        subset: None,
+    };
+    let (solution, stats, _) = select(&rows, None, k, &opts, &mut GatherScratch::new());
+    (solution, stats)
 }
 
 /// Computes the influence relationships with `method`, then selects `k`
@@ -188,7 +202,7 @@ pub fn solve_with<PF: ProbabilityFunction>(
 ) -> RunReport {
     let (sets, stats, mut times) = influence_sets(problem, method);
     let t = Instant::now();
-    let (solution, selection) = run_selector_model(selector, &sets, problem.k, 1, &problem.model);
+    let (solution, selection) = select_sets(selector, &sets, problem.k, 1, &problem.model);
     times.selection = t.elapsed();
     RunReport {
         solution,
@@ -228,8 +242,7 @@ pub fn solve_threaded<PF: ProbabilityFunction>(
 ) -> RunReport {
     let (sets, stats, mut times) = influence_sets_threaded(problem, method, threads);
     let t = Instant::now();
-    let (solution, selection) =
-        run_selector_model(selector, &sets, problem.k, threads, &problem.model);
+    let (solution, selection) = select_sets(selector, &sets, problem.k, threads, &problem.model);
     times.selection = t.elapsed();
     RunReport {
         solution,
@@ -282,5 +295,60 @@ pub fn influence_sets_threaded<PF: ProbabilityFunction>(
         }
         Method::KCifp => kcifp::influence_sets(problem),
         Method::Iqt(config) => iqt::influence_sets_parallel(problem, &config, threads),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A complementarity model with mixed-sign class weights: uncontested
+    /// users are worth `+1` each, but any user already served by an
+    /// incumbent *costs* the entrant (brand dilution). Not monotone, not
+    /// submodular.
+    struct Dilution;
+
+    impl CompetitionModel for Dilution {
+        fn name(&self) -> &'static str {
+            "dilution-test"
+        }
+
+        fn class_contribution(&self, w: usize, n: u32) -> f64 {
+            if w == 0 {
+                f64::from(n)
+            } else {
+                -0.25 * f64::from(n)
+            }
+        }
+
+        fn is_submodular(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn non_submodular_models_route_to_the_exact_oracle() {
+        let sets = InfluenceSets::new(
+            vec![vec![0, 1], vec![2, 3, 4], vec![3, 4, 5]],
+            vec![0, 0, 0, 1, 2, 1],
+        );
+        let direct = exact::solve_exact_model(&sets, 2, &Dilution);
+        for selector in [
+            Selector::Greedy,
+            Selector::LazyGreedy,
+            Selector::Decremental,
+            Selector::Auto,
+        ] {
+            for threads in [1usize, 4] {
+                let (sol, stats) = select_sets(selector, &sets, 2, threads, &Dilution);
+                assert_eq!(direct.selected, sol.selected, "{selector:?} t={threads}");
+                assert_eq!(
+                    direct.cinf.to_bits(),
+                    sol.cinf.to_bits(),
+                    "{selector:?} t={threads}"
+                );
+                assert_eq!(stats.gain_evals, sol.selected.len() as u64);
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use crate::{InfluenceSets, Solution};
 /// Ranks candidates by individual `cinf(c)` (ties toward the smaller id)
 /// and returns the top `k` — overlap-blind by construction. The reported
 /// `cinf` is the honest set value (overlap counted once), so the quality
-/// loss is directly visible against [`crate::greedy::select`].
+/// loss is directly visible against the greedy ([`crate::select`]).
 pub fn select_top_k_single(sets: &InfluenceSets, k: usize) -> Solution {
     let n = sets.n_candidates();
     assert!(k <= n, "k = {k} exceeds the number of candidates ({n})");
@@ -40,7 +40,7 @@ pub fn select_top_k_single(sets: &InfluenceSets, k: usize) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy;
+    use crate::algorithms::{run_selector, Selector};
 
     /// Fig. 1(d)'s structure: two "strong" candidates covering the same
     /// three users, plus two weaker candidates covering fresh users.
@@ -64,7 +64,7 @@ mod tests {
         assert_eq!(topk.selected, vec![0, 1]);
         assert!((topk.cinf - 3.0).abs() < 1e-12);
         // The greedy avoids the trap and captures 5 users.
-        let g = greedy::select(&s, 2);
+        let g = run_selector(Selector::Greedy, &s, 2, 1).0;
         assert_eq!(g.selected_sorted(), vec![0, 2]);
         assert!((g.cinf - 5.0).abs() < 1e-12);
         assert!(g.cinf > topk.cinf);
@@ -93,7 +93,7 @@ mod tests {
             let f_count: Vec<u32> = (0..n_users).map(|_| (next() % 3) as u32).collect();
             let sets = InfluenceSets::new(omega_c, f_count);
             let k = 1 + (next() as usize % n_cands);
-            let g = greedy::select(&sets, k);
+            let g = run_selector(Selector::Greedy, &sets, k, 1).0;
             let t = select_top_k_single(&sets, k);
             assert!(
                 g.cinf >= t.cinf - 1e-9,
@@ -109,7 +109,7 @@ mod tests {
         let s = overlap_trap();
         assert_eq!(
             select_top_k_single(&s, 1).selected,
-            greedy::select(&s, 1).selected
+            run_selector(Selector::Greedy, &s, 1, 1).0.selected
         );
     }
 }

@@ -1,14 +1,15 @@
 //! Post-solution analysis utilities: the reports a business planner would
 //! actually read once the sites are chosen.
 
-use crate::{greedy, InfluenceSets, Solution};
+use crate::algorithms::{run_selector, Selector};
+use crate::{InfluenceSets, Solution};
 use serde::{Deserialize, Serialize};
 
 /// The diminishing-returns curve: `cinf` of the greedy prefix for every
 /// budget `k ∈ 1..=k_max` from a *single* greedy run (prefix-optimal by
 /// construction of the greedy).
 pub fn coverage_curve(sets: &InfluenceSets, k_max: usize) -> Vec<f64> {
-    let sol = greedy::select(sets, k_max.min(sets.n_candidates()));
+    let sol = run_selector(Selector::Greedy, sets, k_max.min(sets.n_candidates()), 1).0;
     sol.marginal_gains
         .iter()
         .scan(0.0, |acc, g| {
@@ -122,17 +123,17 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[1] >= w[0] - 1e-12);
         }
-        let full = greedy::select(&s, 3);
+        let full = run_selector(Selector::Greedy, &s, 3, 1).0;
         assert!((curve[2] - full.cinf).abs() < 1e-12);
         // Prefix property: curve[k-1] equals greedy with that k.
-        let k2 = greedy::select(&s, 2);
+        let k2 = run_selector(Selector::Greedy, &s, 2, 1).0;
         assert!((curve[1] - k2.cinf).abs() < 1e-12);
     }
 
     #[test]
     fn site_reports_identify_exclusive_coverage() {
         let s = sets();
-        let sol = greedy::select(&s, 2); // {c2, c1}: covers {0,2} and {1,3}
+        let sol = run_selector(Selector::Greedy, &s, 2, 1).0; // {c2, c1}: covers {0,2} and {1,3}
         let reports = site_reports(&s, &sol);
         assert_eq!(reports.len(), 2);
         // Disjoint coverage ⇒ everything exclusive.
@@ -147,7 +148,7 @@ mod tests {
     #[test]
     fn overlapping_sites_report_shared_users() {
         let s = InfluenceSets::new(vec![vec![0, 1], vec![1, 2]], vec![0, 0, 0]);
-        let sol = greedy::select(&s, 2);
+        let sol = run_selector(Selector::Greedy, &s, 2, 1).0;
         let reports = site_reports(&s, &sol);
         // User 1 is shared between both sites.
         assert!(reports.iter().all(|r| r.shared_users == 1));

@@ -146,7 +146,7 @@ impl InfluenceSets {
     /// classes by `|F_o|` (class `w` has weight `1/(w+1)`), so this is
     /// `max |F_o| + 1` — bounded by `|F| + 1`, small in practice. The
     /// selectors bucket per-candidate gains by class (see
-    /// [`crate::greedy`]).
+    /// [`crate::select`]).
     pub fn n_weight_classes(&self) -> usize {
         self.f_count.iter().max().map_or(1, |&m| m as usize + 1)
     }

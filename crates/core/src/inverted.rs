@@ -2,8 +2,9 @@
 //! user`, in the same flat CSR layout as [`InfluenceSets`] uses for the
 //! forward direction.
 //!
-//! The decremental greedy selector ([`crate::greedy::select_decremental`])
-//! needs to answer "which candidates lose this user?" every time a user
+//! The decremental greedy selector ([`crate::select`] with
+//! `Selector::Decremental`, reading it through [`crate::SetRows`]) needs
+//! to answer "which candidates lose this user?" every time a user
 //! becomes covered; the inverted CSR answers that in one contiguous slice
 //! read. Construction is one counting sort over the forward CSR and
 //! parallelises by candidate chunks: each worker inverts its contiguous

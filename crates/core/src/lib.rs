@@ -15,9 +15,10 @@
 //!   `IQT-PINO` (adds NIB and IA).
 //! * [`algorithms::exact`] — exhaustive/branch-and-bound optimum for small
 //!   instances; the oracle behind the `(1 − 1/e)` quality tests.
-//! * [`greedy`] — the shared submodular greedy selector (Theorem 2), with a
-//!   standard re-evaluating implementation and a lazy (CELF) variant that
-//!   returns identical results faster.
+//! * [`select`] — the shared submodular greedy selector (Theorem 2),
+//!   written once over [`Rows`] user partitions: the paper's rescan loop,
+//!   CELF lazy evaluation and decremental gain maintenance, all returning
+//!   identical results; the unsharded instance is a one-shard selection.
 //!
 //! Every algorithm produces the same [`Solution`] on the same input (the
 //! pruning rules are lossless); the integration suite asserts this.
@@ -29,7 +30,7 @@ pub mod algorithms;
 pub mod analysis;
 mod bitset;
 mod cinf;
-pub mod greedy;
+mod greedy;
 mod influence_sets;
 mod inverted;
 pub mod parallel;
@@ -44,10 +45,12 @@ mod verify;
 
 pub use bitset::{Bitset, IterOnes};
 pub use cinf::{cinf_of_set, competitive_weight};
+pub use greedy::{
+    class_counts, select, ClassCounts, GatherScratch, GatherStats, Rows, SelectOpts, SetRows,
+};
 pub use influence_sets::InfluenceSets;
 pub use inverted::InvertedIndex;
 pub use problem::Problem;
-pub use shard::{GatherScratch, GatherStats};
 pub use solution::Solution;
 pub use stats::{PhaseTimes, PruneStats, RunReport, SelectionStats};
 pub use update::{UpdateEngine, UpdateError, UpdateStats, UserUpdate};

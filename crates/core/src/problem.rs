@@ -41,7 +41,7 @@ pub struct Problem<PF: ProbabilityFunction = Sigmoid> {
     /// ([`mc2ls_influence::CompetitionModel`]). Defaults to the paper's
     /// [`Model::Cumulative`], whose selections are bit-identical to the
     /// pre-model code; non-submodular models route selection to the exact
-    /// branch-and-bound oracle (see `algorithms::run_selector_model`).
+    /// branch-and-bound oracle (see `algorithms::run_selector`).
     pub model: Model,
 }
 

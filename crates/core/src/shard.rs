@@ -1,23 +1,16 @@
-//! User-sharded scatter/gather selection over zero-copy CSR views.
+//! User shards: build-time partitioning and zero-copy snapshot views.
 //!
 //! The competitive influence objective is **additive over users**
 //! (Equation 1 sums an independent weight `1/(|F_o|+1)` per influenced
-//! user), so every per-candidate per-weight-class count
-//! `counts[c][w] = #{uncovered o ∈ Ω_c : |F_o| = w}` splits exactly across
-//! any partition of the user id space:
+//! user), so every per-candidate per-weight-class count splits exactly
+//! across any partition of the user id space:
 //!
 //! ```text
 //! counts[c][w] = Σ_shards #{uncovered o ∈ Ω_c ∩ shard : |F_o| = w}
 //! ```
 //!
-//! Integer counts sum associatively, and the canonical gain
-//! (`greedy::canonical_gain_model`) is a pure function of the merged counts —
-//! so a **gather** over per-shard count vectors materialises the exact
-//! `f64` gain bits the unsharded selector computes, and the selection
-//! loop ([`gather_select`]) replays `select_decremental_counted`'s
-//! decisions byte-for-byte at any shard count and any worker count.
-//!
-//! The module has three layers:
+//! The selector ([`crate::select`]) is written once over such partitions;
+//! this module supplies them:
 //!
 //! * [`shard_starts`] / [`split_sets`] — build-time partitioning of an
 //!   [`InfluenceSets`] by contiguous user-id range (users rebased to
@@ -25,21 +18,12 @@
 //! * [`CsrView`] / [`ShardView`] / [`parse_shard_view`] — zero-copy views
 //!   over the canonical CSR wire encoding ([`InfluenceSets::to_bytes`],
 //!   `InvertedIndex::to_bytes`), validated once at parse time so query
-//!   paths index without re-checking.
-//! * [`materialise_counts`] / [`gather_select`] — the scatter/gather
-//!   query plane: one **scatter** per selection round walks each shard's
-//!   forward row of the picked candidate, covers the shard's users and
-//!   emits per-class decrement events from the shard's inverted rows; the
-//!   **gather** applies the events to the merged count matrix and
-//!   refreshes gains through the shared lazy-bucket heap.
+//!   paths index without re-checking. [`ShardView`] implements [`Rows`],
+//!   so a snapshot's shards feed [`crate::class_counts`] and
+//!   [`crate::select`] directly.
 
-use crate::greedy::{canonical_gain_model, Entry};
-use crate::{Bitset, InfluenceSets, SelectionStats, Solution};
+use crate::{InfluenceSets, Rows};
 use mc2ls_geo::{ByteReader, CodecError, U32View};
-use mc2ls_influence::{CompetitionModel, Model};
-use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// Balanced contiguous shard boundaries over `0..n_users`: a vector of
 /// `s + 1` cut points starting at 0 and ending at `n_users`, where
@@ -286,455 +270,53 @@ pub fn trusted_shard_view<'a>(
     })
 }
 
-/// Scatter/gather execution counters for one query. Unlike
-/// [`SelectionStats`] (deterministic work units), the nanosecond fields
-/// are measured wall-clock: `busy_ns` sums every shard's scatter time and
-/// `critical_path_ns` sums each round's **slowest** shard — what a fleet
-/// of free cores would wait for, measurable even when the shards actually
-/// ran serially on a one-core host.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GatherStats {
-    /// User shards in the snapshot.
-    pub shards: u32,
-    /// Scatter worker threads used (`min(threads, shards)`).
-    pub workers: u32,
-    /// Selection rounds executed (`k`).
-    pub rounds: u32,
-    /// Per-class decrement events gathered across all rounds.
-    pub scatter_events: u64,
-    /// Total scatter time summed over every shard, nanoseconds.
-    pub busy_ns: u64,
-    /// Per-round maximum shard scatter time, summed over rounds.
-    pub critical_path_ns: u64,
-    /// Whether the initial count matrix came from the engine's shared
-    /// per-epoch materialisation rather than a private pass.
-    pub shared_epoch: bool,
-}
-
-/// Materialises the merged initial count matrix
-/// `counts[c * n_classes + w] = #{o ∈ Ω_c : |F_o| = w}` from per-shard
-/// views, fanning shards out over `threads` workers. Per-shard partial
-/// matrices are summed in shard order; integer addition makes the merge
-/// independent of the chunking, so the result is bit-identical to the
-/// unsharded pass for any shard or thread count.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn materialise_counts(
-    shards: &[ShardView<'_>],
-    n_candidates: usize,
-    n_classes: usize,
-    threads: usize,
-) -> Vec<u32> {
-    let mut counts = vec![0u32; n_candidates * n_classes];
-    let parts = crate::parallel::map_chunks(shards.len(), threads, |range| {
-        let mut part = vec![0u32; n_candidates * n_classes];
-        for view in &shards[range] {
-            for c in 0..n_candidates {
-                for o in view.fwd.row(c) {
-                    part[c * n_classes + view.f_count.get(o as usize) as usize] += 1;
-                }
-            }
-        }
-        part
-    });
-    for part in parts {
-        for (t, p) in counts.iter_mut().zip(part) {
-            *t += p;
-        }
-    }
-    counts
-}
-
-/// Gathers the rows of `subset` (global candidate ids) out of a full
-/// `n_classes`-wide count matrix — the cheap epoch-shared path for subset
-/// queries.
-pub fn subset_counts(full: &[u32], n_classes: usize, subset: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(subset.len() * n_classes);
-    for &c in subset {
-        let cu = c as usize;
-        out.extend_from_slice(&full[cu * n_classes..(cu + 1) * n_classes]);
-    }
-    out
-}
-
-/// Per-shard mutable selection state. Shards partition the user space, so
-/// each worker owns its shard's coverage bitset exclusively.
-#[derive(Debug)]
-struct ShardState {
-    covered: Bitset,
-}
-
-/// Reusable allocation pool for [`gather_select_with_scratch`]: the
-/// lazy-bucket heap, the version/taken/stamp arrays, the touched list and
-/// the per-shard coverage bitsets ([`Bitset::clear`] is a short memset)
-/// survive across repeated selections — a serving loop answering many
-/// queries against one snapshot stops paying per-query allocation cost.
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    version: Vec<u32>,
-    taken: Vec<bool>,
-    stamp: Vec<u32>,
-    touched: Vec<u32>,
-    heap: BinaryHeap<Entry>,
-    states: Vec<ShardState>,
-}
-
-impl GatherScratch {
-    /// An empty pool; every buffer grows to fit on first use.
-    pub fn new() -> Self {
-        Self::default()
+impl Rows for ShardView<'_> {
+    fn n_candidates(&self) -> usize {
+        self.fwd.n_rows()
     }
 
-    /// Re-shapes for `n` selection rows over `shards`, clearing in place
-    /// wherever the previous use already had the right shape.
-    fn reset(&mut self, n: usize, shards: &[ShardView<'_>]) {
-        self.version.clear();
-        self.version.resize(n, 0);
-        self.taken.clear();
-        self.taken.resize(n, false);
-        self.stamp.clear();
-        self.stamp.resize(n, u32::MAX);
-        self.touched.clear();
-        self.heap.clear();
-        let reusable = self.states.len() == shards.len()
-            && self
-                .states
-                .iter()
-                .zip(shards)
-                .all(|(s, v)| s.covered.len() == v.n_users as usize);
-        if reusable {
-            for s in &mut self.states {
-                s.covered.clear();
-            }
-        } else {
-            self.states = shards
-                .iter()
-                .map(|v| ShardState {
-                    covered: Bitset::new(v.n_users as usize),
-                })
-                .collect();
-        }
-    }
-}
-
-/// One shard's scatter for a selected candidate: cover the shard's not-yet
-/// covered users of `Ω_c` and emit one `(row, weight_class)` decrement
-/// event per affected un-taken candidate row. `pos_of` (when querying a
-/// subset) maps global candidate ids to subset rows, `u32::MAX` marking
-/// non-members.
-fn scatter_one(
-    view: &ShardView<'_>,
-    state: &mut ShardState,
-    global_c: u32,
-    pos_of: Option<&[u32]>,
-    taken: &[bool],
-) -> (Vec<(u32, u32)>, u64) {
-    let t = Instant::now();
-    let mut events = Vec::new();
-    for o in view.fwd.row(global_c as usize) {
-        if state.covered.contains(o) {
-            continue;
-        }
-        state.covered.insert(o);
-        let w = view.f_count.get(o as usize);
-        for c2 in view.inv.row(o as usize) {
-            let row = match pos_of {
-                Some(map) => {
-                    let p = map[c2 as usize];
-                    if p == u32::MAX {
-                        continue;
-                    }
-                    p
-                }
-                None => c2,
-            };
-            if taken[row as usize] {
-                continue;
-            }
-            events.push((row, w));
-        }
-    }
-    // Truncation-safe: a scatter pass lasts far below u64 nanoseconds.
-    (events, t.elapsed().as_nanos() as u64)
-}
-
-/// Scatters one round across all shards on up to `workers` threads,
-/// returning per-shard `(events, busy_ns)` **in shard order** (contiguous
-/// shard chunks, stitched in chunk order — the event stream any worker
-/// count produces is identical).
-fn scatter_round(
-    shards: &[ShardView<'_>],
-    states: &mut [ShardState],
-    global_c: u32,
-    pos_of: Option<&[u32]>,
-    taken: &[bool],
-    workers: usize,
-) -> Vec<(Vec<(u32, u32)>, u64)> {
-    let n_shards = shards.len();
-    let workers = workers.min(n_shards).max(1);
-    if workers == 1 {
-        return shards
-            .iter()
-            .zip(states.iter_mut())
-            .map(|(view, state)| scatter_one(view, state, global_c, pos_of, taken))
-            .collect();
-    }
-    let chunk = n_shards.div_ceil(workers);
-    let mut out = Vec::with_capacity(n_shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .chunks(chunk)
-            .zip(states.chunks_mut(chunk))
-            .map(|(views, sts)| {
-                scope.spawn(move || {
-                    views
-                        .iter()
-                        .zip(sts.iter_mut())
-                        .map(|(view, state)| scatter_one(view, state, global_c, pos_of, taken))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-path): join only fails when the worker panicked; re-raising on the spawner is intended
-            out.extend(h.join().expect("scatter worker panicked"));
-        }
-    });
-    out
-}
-
-/// The sharded selection loop: a faithful replay of
-/// `greedy::select_decremental_counted` whose decrement phase is scattered
-/// across user shards and gathered back into the merged count matrix.
-///
-/// * `counts` is the initial matrix — [`materialise_counts`] for the full
-///   candidate set, or [`subset_counts`] rows when `subset` is `Some`
-///   (then rows are subset positions and the returned `selected` ids are
-///   positions into `subset`, exactly like solving the sub-instance).
-/// * `total_influences` is `Σ_c |Ω_c|` of the (sub-)instance, feeding the
-///   same `users_scanned`/`inverted_entries` counters the decremental
-///   selector reports.
-///
-/// Returns the [`Solution`] (byte-identical to the unsharded selectors),
-/// the decremental-selector-shaped [`SelectionStats`], and the
-/// [`GatherStats`] execution counters.
-///
-/// # Panics
-/// Panics when `k` exceeds the row count, the matrix shape disagrees with
-/// `subset`/`n_candidates`/`n_classes`, or `threads == 0`.
-#[allow(clippy::too_many_arguments)] // mirrors select_decremental_counted + the scatter inputs
-pub fn gather_select(
-    shards: &[ShardView<'_>],
-    n_candidates: usize,
-    n_classes: usize,
-    counts: Vec<u32>,
-    subset: Option<&[u32]>,
-    total_influences: u64,
-    k: usize,
-    threads: usize,
-) -> (Solution, SelectionStats, GatherStats) {
-    gather_select_with_scratch(
-        shards,
-        n_candidates,
-        n_classes,
-        counts,
-        subset,
-        total_influences,
-        k,
-        threads,
-        &mut GatherScratch::new(),
-    )
-}
-
-/// [`gather_select`] with a caller-owned [`GatherScratch`]: identical
-/// output bit for bit (the heap is reseeded from `counts` every call, so
-/// reuse only recycles allocations), but repeated selections over the same
-/// shard shapes touch the allocator zero times.
-#[allow(clippy::too_many_arguments)] // mirrors select_decremental_counted + the scatter inputs
-pub fn gather_select_with_scratch(
-    shards: &[ShardView<'_>],
-    n_candidates: usize,
-    n_classes: usize,
-    counts: Vec<u32>,
-    subset: Option<&[u32]>,
-    total_influences: u64,
-    k: usize,
-    threads: usize,
-    scratch: &mut GatherScratch,
-) -> (Solution, SelectionStats, GatherStats) {
-    gather_select_with_scratch_model(
-        shards,
-        n_candidates,
-        n_classes,
-        counts,
-        subset,
-        total_influences,
-        k,
-        threads,
-        scratch,
-        &Model::Cumulative,
-    )
-}
-
-/// [`gather_select_with_scratch`] under an arbitrary (monotone submodular)
-/// competition model: the scattered decrement phase is model-independent
-/// integer arithmetic, so only the heap-seed and refresh gain
-/// materialisations change — through the same canonical walk as every
-/// unsharded selector.
-#[allow(clippy::too_many_arguments)] // mirrors select_decremental_counted + the scatter inputs
-pub fn gather_select_with_scratch_model<M: CompetitionModel>(
-    shards: &[ShardView<'_>],
-    n_candidates: usize,
-    n_classes: usize,
-    mut counts: Vec<u32>,
-    subset: Option<&[u32]>,
-    total_influences: u64,
-    k: usize,
-    threads: usize,
-    scratch: &mut GatherScratch,
-    model: &M,
-) -> (Solution, SelectionStats, GatherStats) {
-    let n = subset.map_or(n_candidates, <[u32]>::len);
-    assert!(k <= n, "k = {k} exceeds the number of candidates ({n})");
-    assert!(threads >= 1, "need at least one worker thread");
-    assert_eq!(counts.len(), n * n_classes, "count matrix shape mismatch");
-
-    let mut stats = SelectionStats {
-        inverted_entries: total_influences,
-        users_scanned: total_influences,
-        ..SelectionStats::default()
-    };
-    let workers = threads.min(shards.len()).max(1);
-    let mut gather = GatherStats {
-        // lint:allow(narrowing-cast): shard counts are operator-configured small integers
-        shards: shards.len() as u32,
-        // lint:allow(narrowing-cast): workers <= shards
-        workers: workers as u32,
-        ..GatherStats::default()
-    };
-
-    // Subset queries remap the scatter's global candidate ids to rows.
-    let pos_of: Option<Vec<u32>> = subset.map(|cands| {
-        let mut map = vec![u32::MAX; n_candidates];
-        for (i, &c) in cands.iter().enumerate() {
-            // lint:allow(narrowing-cast): i < n <= n_candidates, which fits the u32 id space
-            map[c as usize] = i as u32;
-        }
-        map
-    });
-
-    // Seed the lazy-bucket heap exactly like the decremental selector,
-    // recycling the pool's buffers wherever the shapes already match.
-    scratch.reset(n, shards);
-    let GatherScratch {
-        version,
-        taken,
-        stamp,
-        touched,
-        heap,
-        states,
-    } = scratch;
-    for c in 0..n {
-        heap.push(Entry {
-            gain: canonical_gain_model(&counts[c * n_classes..(c + 1) * n_classes], model),
-            // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
-            cand: c as u32,
-            version: 0,
-        });
-    }
-    stats.gain_evals += n as u64;
-    stats.heap_pushes += n as u64;
-    let mut selected = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
-    let mut total = 0.0;
-
-    // lint:allow(narrowing-cast): k <= n_candidates, which fits the u32 id space
-    for round in 0..k as u32 {
-        // Pop until the entry is current — the shared lazy-bucket
-        // discipline (see `select_decremental_counted`).
-        let (c, gain) = loop {
-            // lint:allow(panic-path): every untaken candidate re-pushes its current-version entry before this pop
-            let top = heap.pop().expect("a current entry exists per candidate");
-            let c = top.cand as usize;
-            if taken[c] || top.version != version[c] {
-                continue;
-            }
-            break (c, top.gain);
-        };
-        taken[c] = true;
-        // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
-        selected.push(c as u32);
-        gains.push(gain);
-        total += gain;
-
-        // Scatter: each shard covers its users of Ω_c and reports the
-        // decrements; shards partition the users, so the per-shard event
-        // streams are disjoint slices of the serial decrement stream.
-        let global_c = subset.map_or(
-            // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
-            c as u32,
-            |cands| cands[c],
-        );
-        let results = scatter_round(shards, states, global_c, pos_of.as_deref(), taken, workers);
-
-        // Gather: apply events in shard order. The count updates commute
-        // (integer decrements) and `touched` membership is order-stamped,
-        // so any scatter schedule yields the same refreshed gains.
-        touched.clear();
-        let mut round_max_ns = 0u64;
-        for (events, busy_ns) in results {
-            gather.busy_ns += busy_ns;
-            round_max_ns = round_max_ns.max(busy_ns);
-            gather.scatter_events += events.len() as u64;
-            for (row, w) in events {
-                let ru = row as usize;
-                counts[ru * n_classes + w as usize] -= 1;
-                stats.gain_updates += 1;
-                if stamp[ru] != round {
-                    stamp[ru] = round;
-                    touched.push(row);
-                }
-            }
-        }
-        gather.critical_path_ns += round_max_ns;
-        gather.rounds += 1;
-
-        // Refresh: one canonical re-materialisation and one heap push per
-        // affected candidate; older entries die by version.
-        for &c2 in touched.iter() {
-            let c2u = c2 as usize;
-            version[c2u] += 1;
-            heap.push(Entry {
-                gain: canonical_gain_model(&counts[c2u * n_classes..(c2u + 1) * n_classes], model),
-                cand: c2,
-                version: version[c2u],
-            });
-            stats.gain_evals += 1;
-            stats.heap_pushes += 1;
-        }
+    fn n_users(&self) -> usize {
+        self.n_users as usize
     }
 
-    stats.covered_users = states
-        .iter()
-        .map(|s| s.covered.count_ones() as u64)
-        .sum::<u64>();
-    (
-        Solution {
-            selected,
-            marginal_gains: gains,
-            cinf: total,
-        },
-        stats,
-        gather,
-    )
+    fn n_entries(&self) -> usize {
+        self.fwd.total_ids()
+    }
+
+    fn n_classes(&self) -> usize {
+        self.f_count.iter().max().map_or(1, |w| w as usize + 1)
+    }
+
+    #[inline]
+    fn row_len(&self, c: usize) -> usize {
+        self.fwd.row_len(c)
+    }
+
+    #[inline]
+    fn row(&self, c: usize) -> impl Iterator<Item = u32> + '_ {
+        self.fwd.row(c)
+    }
+
+    #[inline]
+    fn class(&self, o: u32) -> u32 {
+        self.f_count.get(o as usize)
+    }
+
+    #[inline]
+    fn inverted_row(&self, o: u32) -> impl Iterator<Item = u32> + '_ {
+        self.inv.row(o as usize)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::select_decremental_counted;
-    use crate::InvertedIndex;
+    use crate::algorithms::{run_selector, Selector};
+    use crate::{
+        class_counts, select, ClassCounts, GatherScratch, GatherStats, InvertedIndex, SelectOpts,
+        SelectionStats, Solution,
+    };
+    use mc2ls_influence::Model;
 
     fn random_sets(seed: u64, n_users: usize, n_cands: usize) -> InfluenceSets {
         let mut s = seed.max(1);
@@ -805,29 +387,43 @@ mod tests {
         assert_eq!(stitched_f, sets.f_count);
     }
 
+    /// The served plan: the decremental selector over shard views.
+    fn decremental(
+        shards: &[ShardView<'_>],
+        counts: &ClassCounts,
+        subset: Option<&[u32]>,
+        k: usize,
+        threads: usize,
+        scratch: &mut GatherScratch,
+    ) -> (Solution, SelectionStats, GatherStats) {
+        let opts = SelectOpts {
+            selector: Selector::Decremental,
+            model: &Model::Cumulative,
+            threads,
+            subset,
+        };
+        select(shards, Some(counts), k, &opts, scratch)
+    }
+
     #[test]
     fn gather_select_is_bit_identical_to_decremental_for_any_sharding() {
         for seed in [3u64, 11, 42] {
             let sets = random_sets(seed, 40, 9);
             let k = 4;
-            let (want, want_stats) = select_decremental_counted(&sets, k, 1);
+            let (want, want_stats) = run_selector(Selector::Decremental, &sets, k, 1);
             for n_shards in [1usize, 2, 3, 5, 40] {
                 let starts = shard_starts(sets.n_users(), n_shards);
                 let payloads = shard_payloads(&sets, &starts);
                 let shards = views(&payloads, sets.n_candidates());
-                let n_classes = sets.n_weight_classes();
                 for threads in [1usize, 4] {
-                    let counts =
-                        materialise_counts(&shards, sets.n_candidates(), n_classes, threads);
-                    let (got, got_stats, gather) = gather_select(
+                    let counts = class_counts(&shards, sets.n_candidates(), threads);
+                    let (got, got_stats, gather) = decremental(
                         &shards,
-                        sets.n_candidates(),
-                        n_classes,
-                        counts,
+                        &counts,
                         None,
-                        sets.total_influences() as u64,
                         k,
                         threads,
+                        &mut GatherScratch::new(),
                     );
                     assert_eq!(want.selected, got.selected, "seed={seed} shards={n_shards}");
                     let want_bits: Vec<u64> =
@@ -839,6 +435,7 @@ mod tests {
                     assert_eq!(want_stats, got_stats, "seed={seed} shards={n_shards}");
                     assert_eq!(gather.rounds, k as u32);
                     assert_eq!(gather.scatter_events, got_stats.gain_updates);
+                    assert!(gather.shared_epoch);
                 }
             }
         }
@@ -848,8 +445,8 @@ mod tests {
     fn reused_scratch_is_bit_identical_across_shapes() {
         // One pool serves selections of different candidate counts and
         // shardings back to back — both the clear-in-place path (same
-        // shapes) and the rebuild path (shape change) must reproduce the
-        // fresh-scratch wrapper exactly.
+        // shapes) and the rebuild path (shape change) must reproduce a
+        // fresh scratch exactly.
         let mut scratch = GatherScratch::new();
         for seed in [3u64, 11] {
             for n_shards in [1usize, 3] {
@@ -858,29 +455,11 @@ mod tests {
                     let starts = shard_starts(sets.n_users(), n_shards);
                     let payloads = shard_payloads(&sets, &starts);
                     let shards = views(&payloads, sets.n_candidates());
-                    let n_classes = sets.n_weight_classes();
-                    let counts = materialise_counts(&shards, sets.n_candidates(), n_classes, 2);
-                    let (want, want_stats, _) = gather_select(
-                        &shards,
-                        sets.n_candidates(),
-                        n_classes,
-                        counts.clone(),
-                        None,
-                        sets.total_influences() as u64,
-                        4,
-                        2,
-                    );
-                    let (got, got_stats, _) = gather_select_with_scratch(
-                        &shards,
-                        sets.n_candidates(),
-                        n_classes,
-                        counts,
-                        None,
-                        sets.total_influences() as u64,
-                        4,
-                        2,
-                        &mut scratch,
-                    );
+                    let counts = class_counts(&shards, sets.n_candidates(), 2);
+                    let (want, want_stats, _) =
+                        decremental(&shards, &counts, None, 4, 2, &mut GatherScratch::new());
+                    let (got, got_stats, _) =
+                        decremental(&shards, &counts, None, 4, 2, &mut scratch);
                     assert_eq!(want.selected, got.selected, "seed={seed} shards={n_shards}");
                     assert_eq!(want.cinf.to_bits(), got.cinf.to_bits());
                     assert_eq!(want_stats, got_stats);
@@ -894,25 +473,22 @@ mod tests {
         let sets = random_sets(5, 30, 8);
         let subset: Vec<u32> = vec![1, 3, 4, 6];
         let sub = sets.subset(&subset);
-        let (want, want_stats) = select_decremental_counted(&sub, 2, 1);
+        let (want, want_stats) = run_selector(Selector::Decremental, &sub, 2, 1);
 
         let starts = shard_starts(sets.n_users(), 3);
         let payloads = shard_payloads(&sets, &starts);
         let shards = views(&payloads, sets.n_candidates());
-        let n_classes = sets.n_weight_classes();
-        let full = materialise_counts(&shards, sets.n_candidates(), n_classes, 2);
-        let counts = subset_counts(&full, n_classes, &subset);
-        let (got, got_stats, _) = gather_select(
+        let counts = class_counts(&shards, sets.n_candidates(), 2);
+        let (got, got_stats, _) = decremental(
             &shards,
-            sets.n_candidates(),
-            n_classes,
-            counts,
+            &counts,
             Some(&subset),
-            sub.total_influences() as u64,
             2,
             2,
+            &mut GatherScratch::new(),
         );
-        assert_eq!(want.selected, got.selected);
+        let mapped: Vec<u32> = want.selected.iter().map(|&r| subset[r as usize]).collect();
+        assert_eq!(mapped, got.selected);
         assert_eq!(want.cinf.to_bits(), got.cinf.to_bits());
         assert_eq!(want_stats, got_stats);
     }

@@ -7,7 +7,7 @@
 //! unions. This module reproduces that machinery and layers a
 //! sketch-driven greedy on top ([`select_sketched`]); it trades exactness
 //! for speed, so it is offered as an *approximate* alternative — the exact
-//! greedy in [`crate::greedy`] remains the default.
+//! greedy in [`crate::select`] remains the default.
 //!
 //! Estimation follows the classic FM analysis: with `m` bitmaps, the
 //! estimator is `m/φ · 2^(ΣR/m)` where `R` is the index of the lowest
@@ -173,6 +173,7 @@ pub fn select_sketched(sets: &InfluenceSets, k: usize, m: usize) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{run_selector, Selector};
 
     #[test]
     fn estimate_tracks_cardinality() {
@@ -241,7 +242,7 @@ mod tests {
                 })
                 .collect();
             let sets = InfluenceSets::new(omega_c, vec![0; n_users]);
-            let exact = crate::greedy::select(&sets, 4);
+            let exact = run_selector(Selector::Greedy, &sets, 4, 1).0;
             let approx = select_sketched(&sets, 4, 48);
             assert!(
                 approx.cinf >= 0.75 * exact.cinf,

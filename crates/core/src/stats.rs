@@ -88,21 +88,23 @@ fn safe_div(a: u64, b: u64) -> f64 {
 /// Counters over the greedy **selection** phase, in the same spirit as
 /// [`PruneStats`] for the influence phases: every selector counts the work
 /// it performs in deterministic units, and — like the influence counters —
-/// the values are invariant under the worker-thread count (asserted in
-/// `tests/selector_equivalence.rs`), so they are comparable across machines.
+/// the values are invariant under the worker-thread and shard counts
+/// (asserted in `tests/selector_equivalence.rs` and
+/// `tests/sharded_equivalence.rs`), so they are comparable across machines.
 ///
-/// The unit conventions, per selector:
+/// The unit conventions, per [`crate::select`] selector:
 ///
-/// * **rescan** (`greedy::select`) and **CELF** (`greedy::select_lazy`)
-///   evaluate gains by walking forward-CSR `Ω_c` slices: `users_scanned`
+/// * **rescan** (`Selector::Greedy`) and **CELF** (`Selector::LazyGreedy`)
+///   evaluate gains by walking forward-CSR `Ω_c` rows: `users_scanned`
 ///   counts every entry visited, `users_rescanned` the subset visited
 ///   *again* after a candidate's first evaluation (rounds ≥ 2 for rescan,
 ///   re-evaluations for CELF) — the redundant work decremental maintenance
 ///   eliminates.
-/// * **decremental** (`greedy::select_decremental`) walks each newly
-///   covered user's inverted list exactly once: `gain_updates` counts the
+/// * **decremental** (`Selector::Decremental`) walks each newly covered
+///   user's inverted row exactly once: `gain_updates` counts the
 ///   per-weight-class count decrements, which over all `k` rounds are
-///   bounded by `inverted_entries` (one pass over the inverted CSR).
+///   bounded by `inverted_entries` (one pass over the inverted CSR);
+///   `users_scanned` is the one forward pass that builds the class counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SelectionStats {
     /// Marginal gains materialized from weight-class counts (initial pass

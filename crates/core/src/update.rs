@@ -50,7 +50,11 @@
 //! log back into flat CSRs (dropping tombstones, densely remapping ids in
 //! slot order) and is the only O(instance) step; nothing ever re-verifies.
 
-use crate::{greedy, InfluenceSets, InvertedIndex, Problem, SelectionStats, Solution};
+use crate::algorithms::Selector;
+use crate::{
+    class_counts, select, ClassCounts, GatherScratch, InfluenceSets, InvertedIndex, Problem,
+    SelectOpts, SelectionStats, SetRows, Solution,
+};
 use mc2ls_geo::Point;
 use mc2ls_influence::{
     influences_blocked_counted, influences_blocked_exact_counted, influences_counted,
@@ -173,11 +177,10 @@ pub struct UpdateEngine<PF: ProbabilityFunction + Clone> {
     overrides: BTreeMap<u32, Vec<u32>>,
     /// Current `|F_o|` per slot.
     f_count: Vec<u32>,
-    /// Row-major candidate × weight-class count matrix, patched in place.
-    counts: Vec<u32>,
-    /// Column count (stride) of `counts`; grows when a live `|F_o|`
-    /// exceeds it, narrows back at compaction.
-    n_classes: usize,
+    /// Candidate × weight-class count matrix, patched in place. Its
+    /// stride grows when a live `|F_o|` exceeds it and narrows back at
+    /// compaction.
+    counts: ClassCounts,
     dirty: bool,
     stats: UpdateStats,
 }
@@ -212,19 +215,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
             problem.n_candidates(),
             "sets/problem candidate count"
         );
-        let n = sets.n_candidates();
-        let n_classes = sets.n_weight_classes();
-        let counts: Vec<u32> = crate::parallel::map_chunks(n, threads, |range| {
-            let mut part = vec![0u32; range.len() * n_classes];
-            for (i, c) in range.enumerate() {
-                let row = &mut part[i * n_classes..(i + 1) * n_classes];
-                for &o in sets.omega(c) {
-                    row[sets.f_count[o as usize] as usize] += 1;
-                }
-            }
-            part
-        })
-        .concat();
+        let counts = class_counts(&[owned_rows(&sets)], sets.n_candidates(), threads);
         let inverted = InvertedIndex::build(&sets, threads);
         UpdateEngine {
             pf: problem.pf.clone(),
@@ -241,7 +232,6 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
             inverted,
             overrides: BTreeMap::new(),
             counts,
-            n_classes,
             dirty: false,
             stats: UpdateStats::default(),
         }
@@ -269,7 +259,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         self.stats.flipped += row.len() as u64;
         self.ensure_classes(w as usize);
         for &c in &row {
-            self.counts[c as usize * self.n_classes + w as usize] += 1;
+            *self.count_mut(c, w) += 1;
         }
         self.users.push(user);
         self.alive.push(true);
@@ -284,9 +274,9 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
     fn delete(&mut self, o: u32) -> Result<u32, UpdateError> {
         self.check_alive(o)?;
         let old = self.current_row(o).to_vec();
-        let w = self.f_count[o as usize] as usize;
+        let w = self.f_count[o as usize];
         for &c in &old {
-            self.counts[c as usize * self.n_classes + w] -= 1;
+            *self.count_mut(c, w) -= 1;
         }
         self.stats.flipped += old.len() as u64;
         self.alive[o as usize] = false;
@@ -302,13 +292,13 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         let user = validated_user(positions)?;
         let (row, w_new) = self.verify_user(&user);
         let old = self.current_row(o).to_vec();
-        let w_old = self.f_count[o as usize] as usize;
+        let w_old = self.f_count[o as usize];
         for &c in &old {
-            self.counts[c as usize * self.n_classes + w_old] -= 1;
+            *self.count_mut(c, w_old) -= 1;
         }
         self.ensure_classes(w_new as usize);
         for &c in &row {
-            self.counts[c as usize * self.n_classes + w_new as usize] += 1;
+            *self.count_mut(c, w_new) += 1;
         }
         self.stats.flipped += symmetric_difference(&old, &row);
         self.users[o as usize] = user;
@@ -468,23 +458,25 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         self.f_count = self.base.f_count.clone();
         self.overrides.clear();
         let target = self.base.n_weight_classes();
-        if target != self.n_classes {
+        if target != self.counts.stride {
             let n = self.candidates.len();
             let mut next = vec![0u32; n * target];
             for c in 0..n {
-                let row = &self.counts[c * self.n_classes..(c + 1) * self.n_classes];
+                let row = self.counts.row(c);
                 debug_assert!(
                     row.iter().skip(target).all(|&x| x == 0),
                     "classes beyond the canonical width must be empty"
                 );
                 next[c * target..(c + 1) * target].copy_from_slice(&row[..target.min(row.len())]);
             }
-            self.counts = next;
-            self.n_classes = target;
+            self.counts = ClassCounts {
+                matrix: next,
+                stride: target,
+            };
         }
         debug_assert_eq!(
             self.counts,
-            fresh_counts(&self.base, self.n_classes),
+            class_counts(&[owned_rows(&self.base)], self.candidates.len(), 1),
             "patched counts must equal a from-scratch recount"
         );
         self.stats.compactions += 1;
@@ -501,14 +493,26 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
     /// Panics when `k` exceeds the candidate count.
     pub fn solve(&mut self, k: usize) -> (Solution, SelectionStats) {
         self.compact();
-        greedy::select_decremental_seeded(
-            &self.base,
-            &self.inverted,
-            self.counts.clone(),
-            self.n_classes,
+        let rows = [SetRows {
+            sets: &self.base,
+            inverted: Some(&self.inverted),
+        }];
+        let opts = SelectOpts {
+            selector: Selector::Decremental,
+            model: &mc2ls_influence::Model::Cumulative,
+            threads: self.threads,
+            subset: None,
+        };
+        let (solution, mut stats, _) = select(
+            &rows,
+            Some(&self.counts),
             k,
-            &mc2ls_influence::Model::Cumulative,
-        )
+            &opts,
+            &mut GatherScratch::new(),
+        );
+        // The counts were patched in place: no forward-CSR pass ran.
+        stats.users_scanned = 0;
+        (solution, stats)
     }
 
     fn check_alive(&self, o: u32) -> Result<(), UpdateError> {
@@ -530,20 +534,27 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         }
     }
 
+    /// The count of candidate `c`'s users in weight class `w`.
+    fn count_mut(&mut self, c: u32, w: u32) -> &mut u32 {
+        &mut self.counts.matrix[c as usize * self.counts.stride + w as usize]
+    }
+
     /// Grows the count matrix so class `w` exists.
     fn ensure_classes(&mut self, w: usize) {
-        if w < self.n_classes {
+        let stride = self.counts.stride;
+        if w < stride {
             return;
         }
         let wider = w + 1;
         let n = self.candidates.len();
         let mut next = vec![0u32; n * wider];
         for c in 0..n {
-            next[c * wider..c * wider + self.n_classes]
-                .copy_from_slice(&self.counts[c * self.n_classes..(c + 1) * self.n_classes]);
+            next[c * wider..c * wider + stride].copy_from_slice(self.counts.row(c));
         }
-        self.counts = next;
-        self.n_classes = wider;
+        self.counts = ClassCounts {
+            matrix: next,
+            stride: wider,
+        };
     }
 
     /// The compacted influence CSR. Call [`UpdateEngine::compact`] first
@@ -634,22 +645,19 @@ fn symmetric_difference(a: &[u32], b: &[u32]) -> u64 {
     out + (a.len() - i) as u64 + (b.len() - j) as u64
 }
 
-/// From-scratch recount at a given class width (debug cross-check).
-fn fresh_counts(sets: &InfluenceSets, n_classes: usize) -> Vec<u32> {
-    let n = sets.n_candidates();
-    let mut counts = vec![0u32; n * n_classes];
-    for c in 0..n {
-        for &o in sets.omega(c) {
-            counts[c * n_classes + sets.f_count[o as usize] as usize] += 1;
-        }
+/// `sets` as one user partition without its inverted CSR — all counting
+/// needs.
+fn owned_rows(sets: &InfluenceSets) -> SetRows<'_> {
+    SetRows {
+        sets,
+        inverted: None,
     }
-    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::influence_sets_threaded;
+    use crate::algorithms::{influence_sets_threaded, run_selector};
     use crate::{IqtConfig, Method};
     use mc2ls_influence::Sigmoid;
 
@@ -763,7 +771,7 @@ mod tests {
             .unwrap();
         let (sol, _) = engine.solve(2);
         let rebuilt = rebuilt_sets(&engine, &problem);
-        let want = greedy::select_decremental(&rebuilt, 2);
+        let (want, _) = run_selector(Selector::Decremental, &rebuilt, 2, 1);
         assert_eq!(sol.selected, want.selected);
         assert_eq!(sol.cinf.to_bits(), want.cinf.to_bits());
     }
@@ -811,7 +819,7 @@ mod tests {
         engine.compact();
         assert_eq!(engine.sets(), &rebuilt_sets(&engine, &problem));
         let (sol, _) = engine.solve(2);
-        let want = greedy::select_decremental(engine.sets(), 2);
+        let (want, _) = run_selector(Selector::Decremental, engine.sets(), 2, 1);
         assert_eq!(sol.selected, want.selected);
         assert_eq!(sol.cinf.to_bits(), want.cinf.to_bits());
     }

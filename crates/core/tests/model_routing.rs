@@ -1,13 +1,11 @@
-//! The submodularity routing rule: a [`CompetitionModel`] declaring
-//! `is_submodular() == false` must be routed to the exact branch-and-bound
-//! oracle by `run_selector_model` **regardless** of the requested selector
-//! (greedy's marginal-gain argument certifies nothing without
-//! submodularity), while the shipped submodular models keep running the
-//! greedy family. The exact oracle itself must agree with the plain
-//! cumulative exact solver when handed the cumulative model.
+//! Competition models beyond the cumulative default: the exact
+//! branch-and-bound oracle that non-submodular models are routed to (the
+//! routing itself is unit-tested beside `algorithms::run_selector`), its
+//! agreement with the plain exact solver on the cumulative model, and the
+//! shipped submodular models running every greedy-family selector.
 
-use mc2ls_core::algorithms::{exact, run_selector_model, Selector};
-use mc2ls_core::{greedy, InfluenceSets};
+use mc2ls_core::algorithms::{exact, Selector};
+use mc2ls_core::{select, GatherScratch, InfluenceSets, InvertedIndex, SelectOpts, SetRows};
 use mc2ls_influence::{CompetitionModel, Model};
 
 /// A complementarity model with mixed-sign class weights: uncontested
@@ -40,29 +38,6 @@ fn mixed_sets() -> InfluenceSets {
         vec![vec![0, 1], vec![2, 3, 4], vec![3, 4, 5]],
         vec![0, 0, 0, 1, 2, 1],
     )
-}
-
-#[test]
-fn non_submodular_models_route_to_the_exact_oracle() {
-    let sets = mixed_sets();
-    let direct = exact::solve_exact_model(&sets, 2, &Dilution);
-    for selector in [
-        Selector::Greedy,
-        Selector::LazyGreedy,
-        Selector::Decremental,
-        Selector::Auto,
-    ] {
-        for threads in [1usize, 4] {
-            let (sol, stats) = run_selector_model(selector, &sets, 2, threads, &Dilution);
-            assert_eq!(direct.selected, sol.selected, "{selector:?} t={threads}");
-            assert_eq!(
-                direct.cinf.to_bits(),
-                sol.cinf.to_bits(),
-                "{selector:?} t={threads}"
-            );
-            assert_eq!(stats.gain_evals, sol.selected.len() as u64);
-        }
-    }
 }
 
 #[test]
@@ -122,17 +97,31 @@ fn exact_model_oracle_matches_the_plain_exact_solver_on_cumulative() {
 
 #[test]
 fn submodular_models_keep_the_greedy_family() {
-    // With a submodular model the router must honour the selector: results
-    // match the model-dispatched greedy, not necessarily the oracle's
+    // A shipped (submodular) model runs every greedy-family selector to the
+    // same k sites as the model-dispatched rescan, not the oracle's
     // at-most-k semantics.
     let sets = mixed_sets();
-    let (expected, _) = greedy::select_counted_model(&sets, 3, &Model::Logit);
+    let inverted = InvertedIndex::build(&sets, 1);
+    let rows = [SetRows {
+        sets: &sets,
+        inverted: Some(&inverted),
+    }];
+    let run = |selector| {
+        let opts = SelectOpts {
+            selector,
+            model: &Model::Logit,
+            threads: 1,
+            subset: None,
+        };
+        select(&rows, None, 3, &opts, &mut GatherScratch::new()).0
+    };
+    let expected = run(Selector::Greedy);
     for selector in [
         Selector::Greedy,
         Selector::LazyGreedy,
         Selector::Decremental,
     ] {
-        let (sol, _) = run_selector_model(selector, &sets, 3, 1, &Model::Logit);
+        let sol = run(selector);
         assert_eq!(expected.selected, sol.selected, "{selector:?}");
         assert_eq!(expected.cinf.to_bits(), sol.cinf.to_bits(), "{selector:?}");
     }

@@ -4,9 +4,9 @@
 //! thread count, because chunking only moves work between threads, never
 //! changes it.
 
-use mc2ls_core::algorithms::{baseline, iqt, IqtConfig};
+use mc2ls_core::algorithms::{baseline, iqt, run_selector, IqtConfig, Selector};
 use mc2ls_core::parallel::baseline_influence_sets_parallel;
-use mc2ls_core::{greedy, InfluenceSets, Problem};
+use mc2ls_core::{InfluenceSets, Problem};
 use mc2ls_geo::Point;
 use mc2ls_influence::{MovingUser, Sigmoid};
 
@@ -113,13 +113,13 @@ fn parallel_sets_drive_identical_selections() {
     for seed in [3u64, 8, 14] {
         let p = random_problem(seed);
         let (serial_sets, _, _) = iqt::influence_sets(&p, &IqtConfig::iqt(2.0));
-        let want = greedy::select_lazy(&serial_sets, p.k);
+        let want = run_selector(Selector::LazyGreedy, &serial_sets, p.k, 1).0;
         for threads in [2usize, 7] {
             let (par_sets, _, _) = iqt::influence_sets_parallel(&p, &IqtConfig::iqt(2.0), threads);
-            let got = greedy::select_lazy(&par_sets, p.k);
+            let got = run_selector(Selector::LazyGreedy, &par_sets, p.k, 1).0;
             assert_eq!(want.selected, got.selected, "seed={seed} threads={threads}");
             assert!((want.cinf - got.cinf).abs() < 1e-15, "seed={seed}");
-            let dec = greedy::select_decremental_threaded(&par_sets, p.k, threads);
+            let dec = run_selector(Selector::Decremental, &par_sets, p.k, threads).0;
             assert_eq!(
                 want.selected, dec.selected,
                 "decremental diverged: seed={seed} threads={threads}"

@@ -1,12 +1,16 @@
-//! All greedy selectors are the same function: `select` (rescan),
-//! `select_lazy` (CELF) and `select_decremental` (inverted-CSR gain
-//! maintenance) must return **byte-identical** `Solution`s — same selected
-//! ids in the same order, bit-equal marginal gains and `cinf` — on any
-//! instance, at any worker-thread count. The canonical weight-class gain
+//! All greedy selectors are the same function: rescan, CELF and
+//! decremental (inverted-CSR gain maintenance) must return
+//! **byte-identical** `Solution`s — same selected ids in the same order,
+//! bit-equal marginal gains and `cinf` — on any instance, at any
+//! worker-thread count. The canonical weight-class gain
 //! materialisation (`Σ_w counts[w]/(w+1)` in fixed class order) is what
 //! makes this hold exactly, not just within a tolerance.
 
-use mc2ls_core::{greedy, InfluenceSets, InvertedIndex, SelectionStats, Solution};
+use mc2ls_core::algorithms::{run_selector, Selector};
+use mc2ls_core::{
+    select, GatherScratch, InfluenceSets, InvertedIndex, SelectOpts, SelectionStats, SetRows,
+    Solution,
+};
 use mc2ls_influence::Model;
 use proptest::prelude::*;
 
@@ -32,12 +36,29 @@ fn build_sets(f_count: Vec<u32>, raw_lists: Vec<Vec<u32>>) -> InfluenceSets {
     sets
 }
 
+/// `selector` through [`select`] over the owned sets as one shard, with an
+/// explicit `Model::Cumulative`.
+fn via_select(sets: &InfluenceSets, selector: Selector, k: usize, threads: usize) -> Solution {
+    let inverted = InvertedIndex::build(sets, threads);
+    let rows = [SetRows {
+        sets,
+        inverted: Some(&inverted),
+    }];
+    let opts = SelectOpts {
+        selector,
+        model: &Model::Cumulative,
+        threads,
+        subset: None,
+    };
+    select(&rows, None, k, &opts, &mut GatherScratch::new()).0
+}
+
 /// Runs every selector at every thread count and asserts byte-identity
 /// against the rescan reference. Returns the reference solution.
 fn assert_all_selectors_identical(sets: &InfluenceSets, k: usize) -> Solution {
     // Sanitize the derived structures the selectors run on.
     InvertedIndex::build(sets, 3).validate();
-    let (reference, _) = greedy::select_counted(sets, k);
+    let (reference, _) = run_selector(Selector::Greedy, sets, k, 1);
     sets.covered_by(&reference.selected).validate();
     let ref_bits: Vec<u64> = reference
         .marginal_gains
@@ -57,39 +78,36 @@ fn assert_all_selectors_identical(sets: &InfluenceSets, k: usize) -> Solution {
     for threads in THREADS {
         check(
             &format!("celf t={threads}"),
-            greedy::select_lazy_threaded(sets, k, threads),
+            run_selector(Selector::LazyGreedy, sets, k, threads).0,
         );
         check(
             &format!("decremental t={threads}"),
-            greedy::select_decremental_threaded(sets, k, threads),
+            run_selector(Selector::Decremental, sets, k, threads).0,
         );
     }
     // Trait-dispatched cumulative model: routing the same selection through
     // the CompetitionModel trait with an explicit `Model::Cumulative` must
     // not move a bit relative to the default paths above.
-    check(
-        "rescan via trait",
-        greedy::select_counted_model(sets, k, &Model::Cumulative).0,
-    );
+    check("rescan via trait", via_select(sets, Selector::Greedy, k, 1));
     for threads in THREADS {
         check(
             &format!("celf via trait t={threads}"),
-            greedy::select_lazy_counted_model(sets, k, threads, &Model::Cumulative).0,
+            via_select(sets, Selector::LazyGreedy, k, threads),
         );
         check(
             &format!("decremental via trait t={threads}"),
-            greedy::select_decremental_counted_model(sets, k, threads, &Model::Cumulative).0,
+            via_select(sets, Selector::Decremental, k, threads),
         );
     }
     reference
 }
 
-/// The counted variants' stats must not depend on the thread count.
+/// The selectors' stats must not depend on the thread count.
 fn assert_stats_thread_invariant(sets: &InfluenceSets, k: usize) {
     let stats_at = |threads: usize| -> (SelectionStats, SelectionStats) {
         (
-            greedy::select_lazy_counted(sets, k, threads).1,
-            greedy::select_decremental_counted(sets, k, threads).1,
+            run_selector(Selector::LazyGreedy, sets, k, threads).1,
+            run_selector(Selector::Decremental, sets, k, threads).1,
         )
     };
     assert_eq!(stats_at(1), stats_at(4), "stats diverged at t=4");
@@ -176,7 +194,7 @@ proptest! {
 /// at every verification block size × thread count × selector.
 #[test]
 fn trait_dispatched_cumulative_is_byte_identical_across_block_sizes() {
-    use mc2ls_core::algorithms::{solve_threaded, Method, Selector};
+    use mc2ls_core::algorithms::{solve_threaded, Method};
     use mc2ls_core::{IqtConfig, Problem};
     use mc2ls_geo::Point;
     use mc2ls_influence::{MovingUser, Sigmoid, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN};

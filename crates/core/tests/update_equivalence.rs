@@ -5,14 +5,13 @@
 //! counts and shard layouts.
 
 use mc2ls_core::algorithms::{influence_sets_threaded, run_selector, Selector};
-use mc2ls_core::shard::{
-    gather_select, materialise_counts, parse_shard_view, shard_starts, split_sets, ShardView,
-};
+use mc2ls_core::shard::{parse_shard_view, shard_starts, split_sets, ShardView};
 use mc2ls_core::{
-    InfluenceSets, InvertedIndex, IqtConfig, Method, Problem, UpdateEngine, UserUpdate,
+    class_counts, select, GatherScratch, InfluenceSets, InvertedIndex, IqtConfig, Method, Problem,
+    SelectOpts, UpdateEngine, UserUpdate,
 };
 use mc2ls_geo::Point;
-use mc2ls_influence::{MovingUser, Sigmoid};
+use mc2ls_influence::{Model, MovingUser, Sigmoid};
 use proptest::prelude::*;
 
 /// Coordinates tight enough (and τ low enough) that influence sets are
@@ -141,18 +140,14 @@ fn gather_solution(
             parse_shard_view(*base, fwd, inv, sets.n_candidates() as u32).expect("valid payloads")
         })
         .collect();
-    let n_classes = sets.n_weight_classes();
-    let counts = materialise_counts(&shards, sets.n_candidates(), n_classes, threads);
-    let (sol, _, _) = gather_select(
-        &shards,
-        sets.n_candidates(),
-        n_classes,
-        counts,
-        None,
-        sets.total_influences() as u64,
-        k,
+    let counts = class_counts(&shards, sets.n_candidates(), threads);
+    let opts = SelectOpts {
+        selector: Selector::Decremental,
+        model: &Model::Cumulative,
         threads,
-    );
+        subset: None,
+    };
+    let (sol, _, _) = select(&shards, Some(&counts), k, &opts, &mut GatherScratch::new());
     (sol.selected, sol.cinf.to_bits())
 }
 

@@ -1,7 +1,8 @@
 //! MC²LS influence relationships under network distances.
 
 use crate::{bounded_dijkstra, dijkstra, NodeId, RoadNetwork};
-use mc2ls_core::{greedy, InfluenceSets, Solution};
+use mc2ls_core::algorithms::{run_selector, Selector};
+use mc2ls_core::{InfluenceSets, Solution};
 use mc2ls_influence::{non_influence_radius, MovingUser, ProbabilityFunction};
 
 /// An MC²LS instance living on a road network: every user position,
@@ -160,7 +161,7 @@ pub fn solve_network<PF: ProbabilityFunction>(
     problem: &NetworkProblem<PF>,
 ) -> Solution {
     let sets = network_influence_sets(network, problem);
-    greedy::select(&sets, problem.k)
+    run_selector(Selector::Greedy, &sets, problem.k, 1).0
 }
 
 #[cfg(test)]

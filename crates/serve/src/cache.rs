@@ -1,11 +1,12 @@
 //! The deterministic LRU result cache and the canonical query key.
 //!
 //! Keys are byte strings derived from the *canonical* form of a query
-//! (sorted-deduped candidate subset, τ bits, `k`, block size, selector
-//! tag, exact-PF flag, competition-model tag), so two requests that mean
-//! the same query always collide regardless
-//! of candidate order or duplicates. The block size passed to
-//! [`key_bytes`] must be the *canonical* one — the server resolves the
+//! (sorted-deduped candidate subset, τ bits, `k`, block size,
+//! competition-model tag), so two requests that mean the same query
+//! always collide regardless of candidate order or duplicates. The
+//! request's `selector` and `pf_exact` fields are left out: the engine
+//! reads neither, so they never change an answer. The block size passed
+//! to [`key_bytes`] must be the *canonical* one — the server resolves the
 //! `auto` sentinel to the snapshot's resolved block size via
 //! [`crate::engine::QueryEngine::canonical_block_size`] before keying, so
 //! `auto` and an explicit spelling of the resolved value share one
@@ -14,10 +15,8 @@
 //! this crate) — with an explicit recency sequence implementing
 //! least-recently-used eviction.
 
-use crate::protocol::QueryAnswer;
-use mc2ls_core::algorithms::Selector;
+use crate::protocol::{QueryAnswer, QueryRequest};
 use mc2ls_geo::ByteWriter;
-use mc2ls_influence::Model;
 use std::collections::BTreeMap;
 
 /// Returns `cands` sorted ascending with duplicates removed — the
@@ -30,38 +29,16 @@ pub fn canonical_subset(cands: &[u32]) -> Vec<u32> {
     v
 }
 
-/// Stable one-byte tag per selector (part of the key layout; do not reuse
-/// values).
-fn selector_tag(s: Selector) -> u8 {
-    match s {
-        Selector::Greedy => 0,
-        Selector::LazyGreedy => 1,
-        Selector::Decremental => 2,
-        Selector::Auto => 3,
-    }
-}
-
-/// Builds the canonical key bytes for a query. `subset` must already be
-/// canonical (see [`canonical_subset`]); `None` means the full candidate
-/// set.
-#[allow(clippy::too_many_arguments)]
-pub fn key_bytes(
-    subset: Option<&[u32]>,
-    k: usize,
-    tau: f64,
-    block_size: usize,
-    selector: Selector,
-    pf_exact: bool,
-    model: Model,
-) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(32 + 4 * subset.map_or(0, <[u32]>::len));
-    w.put_u64(tau.to_bits());
-    w.put_len(k);
+/// Builds the canonical key bytes for `query`, whose block size
+/// canonicalises to `block_size`.
+pub fn key_bytes(query: &QueryRequest, block_size: usize) -> Vec<u8> {
+    let subset = query.candidates.as_deref().map(canonical_subset);
+    let mut w = ByteWriter::with_capacity(32 + 4 * subset.as_ref().map_or(0, Vec::len));
+    w.put_u64(query.tau.to_bits());
+    w.put_len(query.k);
     w.put_len(block_size);
-    w.put_u8(selector_tag(selector));
-    w.put_u8(u8::from(pf_exact));
-    w.put_u8(model.tag());
-    match subset {
+    w.put_u8(query.model.tag());
+    match subset.as_deref() {
         None => w.put_u8(0),
         Some(ids) => {
             w.put_u8(1);
@@ -186,7 +163,9 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc2ls_core::algorithms::Selector;
     use mc2ls_core::{GatherStats, PruneStats, SelectionStats, Solution};
+    use mc2ls_influence::Model;
 
     fn answer(tag: u32) -> QueryAnswer {
         QueryAnswer {
@@ -203,44 +182,61 @@ mod tests {
         }
     }
 
+    fn query(candidates: Option<Vec<u32>>) -> QueryRequest {
+        QueryRequest {
+            candidates,
+            k: 2,
+            tau: 0.7,
+            block_size: 8,
+            selector: Selector::Auto,
+            pf_exact: false,
+            model: Model::Cumulative,
+        }
+    }
+
     #[test]
     fn canonicalisation_makes_equivalent_queries_collide() {
-        let cm = Model::Cumulative;
-        let a = key_bytes(
-            Some(&canonical_subset(&[3, 1, 2, 1])),
-            2,
-            0.7,
-            8,
-            Selector::Auto,
-            false,
-            cm,
-        );
-        let b = key_bytes(
-            Some(&canonical_subset(&[2, 3, 1])),
-            2,
-            0.7,
-            8,
-            Selector::Auto,
-            false,
-            cm,
-        );
-        assert_eq!(a, b);
-        // Any parameter change separates the keys.
-        let s = Some(&[1u32, 2, 3][..]);
-        assert_ne!(a, key_bytes(s, 3, 0.7, 8, Selector::Auto, false, cm));
-        assert_ne!(a, key_bytes(s, 2, 0.71, 8, Selector::Auto, false, cm));
-        assert_ne!(a, key_bytes(s, 2, 0.7, 9, Selector::Auto, false, cm));
-        assert_ne!(a, key_bytes(s, 2, 0.7, 8, Selector::Greedy, false, cm));
-        assert_ne!(a, key_bytes(s, 2, 0.7, 8, Selector::Auto, true, cm));
+        let q = query(Some(vec![3, 1, 2, 1]));
+        let a = key_bytes(&q, 8);
+        assert_eq!(a, key_bytes(&query(Some(vec![2, 3, 1])), 8));
+        // Selector and exact-PF flag never change an answer: same key.
+        for selector in [
+            Selector::Greedy,
+            Selector::LazyGreedy,
+            Selector::Decremental,
+        ] {
+            for pf_exact in [false, true] {
+                let same = QueryRequest {
+                    selector,
+                    pf_exact,
+                    ..q.clone()
+                };
+                assert_eq!(a, key_bytes(&same, 8), "{selector:?} pf_exact={pf_exact}");
+            }
+        }
+        // Any other parameter change separates the keys.
+        assert_ne!(a, key_bytes(&QueryRequest { k: 3, ..q.clone() }, 8));
         assert_ne!(
             a,
-            key_bytes(s, 2, 0.7, 8, Selector::Auto, false, Model::Logit)
+            key_bytes(
+                &QueryRequest {
+                    tau: 0.71,
+                    ..q.clone()
+                },
+                8
+            )
         );
-        assert_ne!(a, key_bytes(None, 2, 0.7, 8, Selector::Auto, false, cm));
+        assert_ne!(a, key_bytes(&q, 9));
+        let logit = QueryRequest {
+            model: Model::Logit,
+            ..q.clone()
+        };
+        assert_ne!(a, key_bytes(&logit, 8));
+        assert_ne!(a, key_bytes(&query(None), 8));
         // An empty subset is not the same key as "full set".
         assert_ne!(
-            key_bytes(Some(&[]), 2, 0.7, 8, Selector::Auto, false, cm),
-            key_bytes(None, 2, 0.7, 8, Selector::Auto, false, cm)
+            key_bytes(&query(Some(vec![])), 8),
+            key_bytes(&query(None), 8)
         );
     }
 

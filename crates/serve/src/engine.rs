@@ -2,21 +2,22 @@
 //! zero-copy loaded snapshot.
 //!
 //! Queries never re-derive influence relationships — the snapshot's
-//! per-shard CSRs are the ground truth. Every query runs the
-//! scatter/gather plan ([`mc2ls_core::shard::gather_select`]): per-shard
-//! gain scatter on up to `min(threads, shards)` workers, gathered through
-//! the canonical selection loop, which is **byte-identical** to every
-//! unsharded selector at any shard and thread count (the workspace
-//! invariant, asserted by the loopback suites). Answers carry
-//! [`mc2ls_core::PruneStats::default`] pruning counters — the visible
-//! proof that zero influence evaluations ran.
+//! per-shard CSRs are the ground truth. Every query runs the workspace's
+//! one selector ([`mc2ls_core::select`]) over the shard views, fixed to
+//! the decremental scatter/gather plan: per-shard decrement scatter on up
+//! to `min(threads, shards)` workers, gathered into the merged count
+//! matrix — **byte-identical** to every unsharded selector at any shard
+//! and thread count (the workspace invariant, asserted by the loopback
+//! suites). The request's `selector` field is therefore not read. Answers
+//! carry [`mc2ls_core::PruneStats::default`] pruning counters — the
+//! visible proof that zero influence evaluations ran.
 //!
-//! The initial per-candidate count matrix is materialised **once per
-//! snapshot epoch** (lazily, on the first query) and shared: a full-set
-//! query clones it, a subset query gathers its rows. Concurrent queries on
-//! the same epoch therefore share one gain-materialisation pass — the
-//! engine half of request batching (the server adds single-flight
-//! coalescing on top).
+//! The initial per-candidate count matrix ([`mc2ls_core::class_counts`])
+//! is materialised **once per snapshot epoch** (lazily, on the first
+//! query) and shared: every query, full-set or subset, seeds from its
+//! rows. Concurrent queries on the same epoch therefore share one
+//! gain-materialisation pass — the engine half of request batching (the
+//! server adds single-flight coalescing on top).
 
 use crate::cache::canonical_subset;
 use crate::error::SnapshotError;
@@ -24,10 +25,10 @@ use crate::protocol::{ProposeRequest, QueryAnswer, QueryRequest};
 use crate::snapshot::{Snapshot, SnapshotMeta};
 use crate::view::LoadedSnapshot;
 use mc2ls_candgen::{propose_from_blocks, Proposal, SweepConfig};
-use mc2ls_core::shard::{gather_select_with_scratch_model, materialise_counts, subset_counts};
-use mc2ls_core::{GatherScratch, GatherStats, PruneStats};
+use mc2ls_core::algorithms::Selector;
+use mc2ls_core::{class_counts, select, ClassCounts, GatherScratch, PruneStats, SelectOpts};
 use mc2ls_influence::{Model, BLOCK_SIZE_AUTO};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// A query rejected before selection ran.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,7 +188,7 @@ pub struct QueryEngine {
     /// Initial count matrix of the full candidate set, materialised once
     /// per engine (= snapshot epoch) on first use and shared by every
     /// query until the next reload.
-    epoch_counts: OnceLock<Arc<Vec<u32>>>,
+    epoch_counts: OnceLock<ClassCounts>,
     /// Pool of selection scratch buffers (heap, version/taken/stamp
     /// arrays, coverage bitsets). Each query checks one out, selects with
     /// it, and returns it — repeated queries against an epoch reuse the
@@ -270,15 +271,13 @@ impl QueryEngine {
         }
     }
 
-    fn epoch_counts(&self) -> &Arc<Vec<u32>> {
+    fn epoch_counts(&self) -> &ClassCounts {
         self.epoch_counts.get_or_init(|| {
-            let views = self.loaded.shard_views();
-            Arc::new(materialise_counts(
-                &views,
+            class_counts(
+                &self.loaded.shard_views(),
                 self.loaded.meta().n_candidates,
-                self.loaded.n_classes(),
                 self.threads,
-            ))
+            )
         })
     }
 
@@ -311,76 +310,47 @@ impl QueryEngine {
         }
 
         let n_candidates = meta.n_candidates;
-        let n_classes = self.loaded.n_classes();
-        let views = self.loaded.shard_views();
-        match req.candidates.as_deref() {
-            None => {
-                check_budget(req.k, n_candidates)?;
-                let counts = self.epoch_counts().as_ref().clone();
-                let mut scratch = self.take_scratch();
-                let (solution, selection, mut gather) = gather_select_with_scratch_model(
-                    &views,
-                    n_candidates,
-                    n_classes,
-                    counts,
-                    None,
-                    self.loaded.total_influences(),
-                    req.k,
-                    self.threads,
-                    &mut scratch,
-                    &meta.model,
-                );
-                self.put_scratch(scratch);
-                gather.shared_epoch = true;
-                Ok(answer_of(solution, selection, gather))
+        let canon = req.candidates.as_deref().map(canonical_subset);
+        if let Some(canon) = &canon {
+            if canon.is_empty() {
+                return Err(QueryError::EmptySubset);
             }
-            Some(raw) => {
-                let canon = canonical_subset(raw);
-                if canon.is_empty() {
-                    return Err(QueryError::EmptySubset);
+            if let Some(&max) = canon.last() {
+                if max as usize >= n_candidates {
+                    return Err(QueryError::UnknownCandidate {
+                        id: max,
+                        n_candidates,
+                    });
                 }
-                if let Some(&max) = canon.last() {
-                    if max as usize >= n_candidates {
-                        return Err(QueryError::UnknownCandidate {
-                            id: max,
-                            n_candidates,
-                        });
-                    }
-                }
-                check_budget(req.k, canon.len())?;
-                let counts = subset_counts(self.epoch_counts(), n_classes, &canon);
-                let total: u64 = views
-                    .iter()
-                    .map(|v| {
-                        canon
-                            .iter()
-                            .map(|&c| v.fwd.row_len(c as usize) as u64)
-                            .sum::<u64>()
-                    })
-                    .sum();
-                let mut scratch = self.take_scratch();
-                let (mut solution, selection, mut gather) = gather_select_with_scratch_model(
-                    &views,
-                    n_candidates,
-                    n_classes,
-                    counts,
-                    Some(&canon),
-                    total,
-                    req.k,
-                    self.threads,
-                    &mut scratch,
-                    &meta.model,
-                );
-                self.put_scratch(scratch);
-                // The selector saw subset-positional ids; map back.
-                for id in &mut solution.selected {
-                    // lint:allow(panic-propagation): selectors emit subset-positional ids < canon.len()
-                    *id = canon[*id as usize];
-                }
-                gather.shared_epoch = true;
-                Ok(answer_of(solution, selection, gather))
             }
         }
+        check_budget(req.k, canon.as_ref().map_or(n_candidates, Vec::len))?;
+
+        let opts = SelectOpts {
+            selector: Selector::Decremental,
+            model: &meta.model,
+            threads: self.threads,
+            subset: canon.as_deref(),
+        };
+        let mut scratch = self.take_scratch();
+        let (solution, selection, gather) = select(
+            &self.loaded.shard_views(),
+            Some(self.epoch_counts()),
+            req.k,
+            &opts,
+            &mut scratch,
+        );
+        self.put_scratch(scratch);
+        Ok(QueryAnswer {
+            solution,
+            selection,
+            // Serving touches no influence-set evaluation: the counters
+            // stay at their defaults, and tests assert exactly that.
+            prune: PruneStats::default(),
+            gather,
+            cached: false,
+            key_hash: 0,
+        })
     }
 }
 
@@ -425,23 +395,6 @@ fn check_budget(k: usize, available: usize) -> Result<(), QueryError> {
         return Err(QueryError::BadBudget { k, available });
     }
     Ok(())
-}
-
-fn answer_of(
-    solution: mc2ls_core::Solution,
-    selection: mc2ls_core::SelectionStats,
-    gather: GatherStats,
-) -> QueryAnswer {
-    QueryAnswer {
-        solution,
-        selection,
-        // Serving touches no influence-set evaluation: the counters stay
-        // at their defaults, and tests assert exactly that.
-        prune: PruneStats::default(),
-        gather,
-        cached: false,
-        key_hash: 0,
-    }
 }
 
 #[cfg(test)]

@@ -109,14 +109,16 @@ pub struct QueryRequest {
     /// snapshot stores, so `auto` and the resolved value are the same
     /// query — and the same cache entry).
     pub block_size: usize,
-    /// Which selector runs the greedy selection. All selectors return
-    /// byte-identical solutions; they differ only in work counters.
+    /// The selector a direct solve would use. All selectors return
+    /// byte-identical solutions and the engine always runs the decremental
+    /// plan, so this field is accepted but not read (nor part of the
+    /// cache key).
     pub selector: Selector,
     /// Whether the client solved (or will solve) its side of an A/B
     /// comparison with the exact-`exp` PF kernel. Serving runs zero PF
     /// evaluations — influence sets are precomputed — so this is a
-    /// parity/debug field: it separates cache keys and is echoed back,
-    /// but never changes an answer.
+    /// parity/debug field: accepted, never read, never part of the cache
+    /// key.
     pub pf_exact: bool,
     /// Competition model the client expects the answer under. Must match
     /// the model recorded in the snapshot META (the server rejects

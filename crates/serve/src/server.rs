@@ -150,6 +150,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
+/// The engine currently serving. Cloning the `Arc` means a concurrent
+/// swap never blocks behind a reader (and vice versa).
+fn current_engine(shared: &Shared) -> Arc<QueryEngine> {
+    match shared.engine.read() {
+        Ok(guard) => Arc::clone(&guard),
+        Err(poisoned) => Arc::clone(&poisoned.into_inner()),
+    }
+}
+
 /// A running query server. Dropping the handle without calling
 /// [`Server::shutdown`] leaves the threads running detached.
 pub struct Server {
@@ -415,26 +424,12 @@ fn handle_query(query: &QueryRequest, shared: &Shared) -> Response {
     let started = Instant::now();
     Metrics::bump(&shared.metrics.queries);
 
-    // Clone the Arc so a concurrent reload never blocks behind a running
-    // selection (and vice versa).
-    let engine = match shared.engine.read() {
-        Ok(guard) => Arc::clone(&guard),
-        Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-    };
+    let engine = current_engine(shared);
 
     // The cache key uses the *canonical* block size: `auto` and the
     // snapshot's resolved value name the same query, so they share one
     // entry (and one flight).
-    let canon = query.candidates.as_deref().map(cache::canonical_subset);
-    let key = cache::key_bytes(
-        canon.as_deref(),
-        query.k,
-        query.tau,
-        engine.canonical_block_size(query.block_size),
-        query.selector,
-        query.pf_exact,
-        query.model,
-    );
+    let key = cache::key_bytes(query, engine.canonical_block_size(query.block_size));
     let key_hash = cache::fnv1a64(&key);
 
     if let Some(mut answer) = lock(&shared.cache).get(&key) {
@@ -468,9 +463,24 @@ fn handle_query(query: &QueryRequest, shared: &Shared) -> Response {
             answer
         });
         flight.publish(result.clone());
-        lock(&shared.batcher).remove(&key);
+        {
+            // A swap may have cleared the table and a new-epoch leader
+            // started a flight for this key: remove only our own.
+            let mut batcher = lock(&shared.batcher);
+            if batcher.get(&key).is_some_and(|f| Arc::ptr_eq(f, &flight)) {
+                batcher.remove(&key);
+            }
+        }
         if let Ok(answer) = &result {
-            lock(&shared.cache).put(key, answer.clone());
+            // Cache only answers of the engine still serving. Checked under
+            // the cache lock, which every swap takes (after replacing the
+            // engine) to clear the cache: either the swap's clear runs after
+            // this put, or this check already sees the new engine.
+            let mut cache = lock(&shared.cache);
+            // lint:allow(hold-across-blocking): the engine read lock only clones an Arc, and no path takes the cache lock while holding the engine lock
+            if Arc::ptr_eq(&current_engine(shared), &engine) {
+                cache.put(key, answer.clone());
+            }
         }
         result
     } else {
@@ -496,10 +506,7 @@ fn handle_query(query: &QueryRequest, shared: &Shared) -> Response {
 fn handle_propose(req: &ProposeRequest, shared: &Shared) -> Response {
     // Snapshot reads share the query plane's reload discipline: clone the
     // Arc so a concurrent reload never blocks behind a running sweep.
-    let engine = match shared.engine.read() {
-        Ok(guard) => Arc::clone(&guard),
-        Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-    };
+    let engine = current_engine(shared);
     // No caching or coalescing: the sweep is a bounded read over the
     // already-decoded position blocks, far cheaper than a selection.
     match engine.propose(req) {
@@ -525,10 +532,7 @@ fn handle_reload(path: &str, shared: &Shared) -> Response {
         if delta::is_delta(&bytes) {
             // Apply the delta onto the raw bytes of the snapshot being
             // served; the spliced result re-runs full validation.
-            let base = match shared.engine.read() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-            };
+            let base = current_engine(shared);
             let spliced = delta::apply(base.snapshot_bytes(), &bytes)?;
             Ok((
                 QueryEngine::from_bytes(spliced, shared.config.threads)?,
@@ -598,13 +602,7 @@ fn handle_update(events: &[WireEvent], shared: &Shared) -> Response {
     };
     // The manifest in force before the batch routes touched users to the
     // shards a delta-shipping follow-up would have to touch.
-    let starts = {
-        let engine = match shared.engine.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        };
-        engine.meta().shard_starts.clone()
-    };
+    let starts = { current_engine(shared).meta().shard_starts.clone() };
     // lint:allow(hold-across-blocking): `live` serialises writers by design — queries never take it, and the joined compact workers belong to this batch
     let applied = lock(live).apply_batch(events, &starts);
     match applied {
@@ -633,10 +631,7 @@ fn handle_update(events: &[WireEvent], shared: &Shared) -> Response {
 }
 
 fn stats_report(shared: &Shared) -> StatsReport {
-    let engine = match shared.engine.read() {
-        Ok(guard) => Arc::clone(&guard),
-        Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-    };
+    let engine = current_engine(shared);
     let (cache_hits, cache_misses, cache_len, cache_capacity) = {
         let cache = lock(&shared.cache);
         let (h, m) = cache.counters();

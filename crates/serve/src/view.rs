@@ -43,8 +43,6 @@ pub struct LoadedSnapshot {
     /// this; a decode failure is cached so every PROPOSE sees the same
     /// typed error instead of retrying a corrupt section.
     blocks: OnceLock<Result<Vec<PositionBlocks>, CodecError>>,
-    n_classes: usize,
-    total_influences: u64,
 }
 
 impl LoadedSnapshot {
@@ -76,8 +74,6 @@ impl LoadedSnapshot {
             .map_err(|_| SnapshotError::Inconsistent("candidate count exceeds the u32 id space"))?;
         let mut shard_ranges = Vec::with_capacity(meta.n_shards());
         let mut pblk_ranges = Vec::with_capacity(meta.n_shards());
-        let mut n_classes = 1usize;
-        let mut total_influences = 0u64;
         for s in 0..meta.n_shards() {
             let iset = frames[1 + 3 * s].payload.clone();
             let iinv = frames[2 + 3 * s].payload.clone();
@@ -93,10 +89,6 @@ impl LoadedSnapshot {
             if view.n_users as usize != size {
                 return Err(SnapshotError::Inconsistent("ISET user count vs manifest"));
             }
-            for w in view.f_count.iter() {
-                n_classes = n_classes.max(w as usize + 1);
-            }
-            total_influences += view.fwd.total_ids() as u64;
             shard_ranges.push((iset, iinv));
         }
 
@@ -106,8 +98,6 @@ impl LoadedSnapshot {
             shard_ranges,
             pblk_ranges,
             blocks: OnceLock::new(),
-            n_classes,
-            total_influences,
         })
     }
 
@@ -136,16 +126,6 @@ impl LoadedSnapshot {
     /// Number of user shards.
     pub fn n_shards(&self) -> usize {
         self.shard_ranges.len()
-    }
-
-    /// Number of weight classes (`max |F_o| + 1`) across all shards.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-
-    /// `Σ_c |Ω_c|` across all shards.
-    pub fn total_influences(&self) -> u64 {
-        self.total_influences
     }
 
     /// Re-derives the per-shard zero-copy views. Cheap (`O(shards)` array
@@ -232,9 +212,10 @@ mod tests {
             let loaded = LoadedSnapshot::from_bytes(bytes.clone()).expect("load");
             assert_eq!(loaded.meta(), &snap.meta);
             assert_eq!(loaded.n_shards(), snap.n_shards());
-            assert_eq!(loaded.total_influences() as usize, snap.total_influences());
             assert_eq!(loaded.bytes(), &bytes[..]);
             let views = loaded.shard_views();
+            let total: usize = views.iter().map(|v| v.fwd.total_ids()).sum();
+            assert_eq!(total, snap.total_influences());
             assert_eq!(views.len(), snap.n_shards());
             for (view, shard) in views.iter().zip(&snap.shards) {
                 assert_eq!(view.n_users as usize, shard.sets.n_users());

@@ -4,7 +4,7 @@
 //! the mutated instance.
 
 use mc2ls_core::algorithms::{solve_threaded, IqtConfig, Method, Selector};
-use mc2ls_core::Problem;
+use mc2ls_core::{Problem, Solution};
 use mc2ls_geo::Point;
 use mc2ls_influence::{Model, MovingUser, Sigmoid};
 use mc2ls_serve::{
@@ -12,6 +12,8 @@ use mc2ls_serve::{
     WireEvent,
 };
 use rand::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn random_problem(seed: u64, n_users: usize, n_cands: usize) -> Problem<Sigmoid> {
     // Dense enough (tight extent, low τ) that influence sets are non-empty
@@ -206,5 +208,97 @@ fn non_live_servers_reject_the_update_verb() {
         other => panic!("expected unsupported, got {other:?}"),
     }
     client.ping().expect("connection survives");
+    server.shutdown();
+}
+
+/// A single-flight leader that computed on a superseded epoch must not
+/// leave its answer in the new epoch's cache. Identical queries race
+/// UPDATE batches (the coalesce window widens each leader's exposure); every
+/// `cached: true` answer must equal a fresh in-process answer of an epoch
+/// that was current while the query was in flight.
+#[test]
+fn cached_answers_never_outlive_their_epoch() {
+    const BATCHES: usize = 12;
+    let problem = random_problem(94, 40, 10);
+    let q = query_for(&problem, 3);
+    // Every batch piles three more users onto candidate 0, so each epoch
+    // answers with its own cinf.
+    let c0 = problem.candidates[0];
+    let on_c0 = [c0, Point::new(c0.x + 0.01, c0.y)];
+    let batch = vec![event("insert", 0, &on_c0); 3];
+
+    let (mut reference, snapshot, _) = LiveUpdater::new("live", &problem, 2.0, 1, 2);
+    let fresh = |snapshot| -> Solution {
+        let answer = QueryEngine::new(snapshot, 1)
+            .answer(&q)
+            .expect("fresh answer");
+        answer.solution
+    };
+    let mut expected = vec![fresh(snapshot)];
+    for _ in 0..BATCHES {
+        let (_, snapshot) = reference.apply_batch(&batch, &[]).expect("batch");
+        expected.push(fresh(snapshot));
+    }
+    let same = |a: &Solution, b: &Solution| {
+        a.selected == b.selected && a.cinf.to_bits() == b.cinf.to_bits()
+    };
+    assert!(
+        expected.windows(2).all(|w| !same(&w[0], &w[1])),
+        "every epoch must answer differently for staleness to be visible"
+    );
+
+    let (live, snapshot, _) = LiveUpdater::new("live", &problem, 2.0, 2, 2);
+    let server = Server::start_live(
+        ServerConfig {
+            threads: 2,
+            workers: 4,
+            coalesce_window: Duration::from_millis(6),
+            ..ServerConfig::default()
+        },
+        QueryEngine::new(snapshot, 2),
+        live,
+    )
+    .expect("bind loopback");
+    let addr = server.addr().to_string();
+    let epoch = AtomicUsize::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut client = Client::connect(&addr).expect("connect");
+            // Back-to-back batches land inside a leader's coalesce window;
+            // the pause after them lets fresh answers be cached and hit.
+            for i in 0..BATCHES {
+                std::thread::sleep(Duration::from_millis(if i % 3 == 2 { 15 } else { 0 }));
+                client.update(&batch).expect("update accepted");
+                epoch.fetch_add(1, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = Client::connect(&addr).expect("connect");
+                while !done.load(Ordering::SeqCst) {
+                    let lo = epoch.load(Ordering::SeqCst);
+                    let answer = client.query(&q).expect("query");
+                    // An update may be applied but not yet acknowledged.
+                    let hi = (epoch.load(Ordering::SeqCst) + 1).min(BATCHES);
+                    if answer.cached {
+                        assert!(
+                            expected[lo..=hi]
+                                .iter()
+                                .any(|want| same(want, &answer.solution)),
+                            "cached answer {:?} belongs to no epoch in {lo}..={hi}",
+                            answer.solution.selected
+                        );
+                    }
+                }
+            });
+        }
+    });
+    // Once the updates stop, the final epoch's answer is cached and served.
+    let mut client = Client::connect(&addr).expect("connect");
+    client.query(&q).expect("query");
+    let hit = client.query(&q).expect("query");
+    assert!(hit.cached && same(&hit.solution, &expected[BATCHES]));
     server.shutdown();
 }

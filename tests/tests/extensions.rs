@@ -141,7 +141,7 @@ fn sketch_greedy_close_to_exact_on_real_sets() {
     let p = base_problem(&d, 5);
     let (sets, _, _) =
         mc2ls::core::algorithms::influence_sets(&p, Method::Iqt(IqtConfig::default()));
-    let exact = mc2ls::core::greedy::select(&sets, 5);
+    let exact = mc2ls::core::algorithms::run_selector(Selector::Greedy, &sets, 5, 1).0;
     let approx = sketch::select_sketched(&sets, 5, 48);
     assert!(
         approx.cinf >= 0.6 * exact.cinf,
