@@ -41,6 +41,30 @@ fn cinf_set_model<M: CompetitionModel>(
     canonical_gain_model(&counts, model)
 }
 
+/// Candidate `c`'s per-class positive parts under `model`:
+/// `Σ_w max(0, class_contribution(w, |Ω_c ∩ class w|))`, walked in
+/// ascending class order like [`canonical_gain_model`] — so for a model
+/// whose contributions are all non-negative it is bit-identical to the
+/// singleton value.
+fn positive_parts_model<M: CompetitionModel>(
+    sets: &InfluenceSets,
+    c: usize,
+    n_classes: usize,
+    model: &M,
+) -> f64 {
+    let mut counts = vec![0u32; n_classes];
+    for &o in sets.omega(c) {
+        counts[sets.f_count[o as usize] as usize] += 1;
+    }
+    let mut total = 0.0;
+    for (w, &n) in counts.iter().enumerate() {
+        if n != 0 {
+            total += model.class_contribution(w, n).max(0.0);
+        }
+    }
+    total
+}
+
 /// Finds the best subset of **at most** `k` candidates under an arbitrary
 /// competition model by branch-and-bound — the routing target for models
 /// whose [`is_submodular`](CompetitionModel::is_submodular) is `false`,
@@ -52,11 +76,15 @@ fn cinf_set_model<M: CompetitionModel>(
 /// * the incumbent is updated at **every** enumeration prefix, not only at
 ///   full `k`-subsets — with mixed-sign class weights a smaller set may
 ///   beat every `k`-set (the empty set is the floor: value 0);
-/// * the upper bound adds the top-`(k−|G|)` **positive parts** of the
-///   singleton values: a class's contribution on the uncovered remainder
-///   never exceeds its full-count contribution when that is positive, and
-///   is otherwise at most 0, so the bound stays admissible for any
-///   fixed-per-class-weight model.
+/// * the upper bound adds, for each of the top-`(k−|G|)` remaining
+///   candidates, its **per-class positive parts**
+///   `Σ_w max(0, class_contribution(w, |Ω_c ∩ class w|))`: a class's
+///   contribution on the uncovered remainder never exceeds its full-count
+///   contribution when that is positive, and is otherwise at most 0, so
+///   the bound stays admissible for any fixed-per-class-weight model. (The
+///   positive part of the singleton *total* is not: a candidate whose
+///   negative classes outweigh its positive ones scores 0 there, yet can
+///   still raise a set that already covers its negative users.)
 ///
 /// Ties between equal-value subsets keep the first one found in the
 /// positive-part-ordered enumeration — deterministic in the inputs.
@@ -77,9 +105,9 @@ pub fn solve_exact_model<M: CompetitionModel>(
     );
     let n_classes = sets.n_weight_classes();
 
-    // Positive parts of the singleton values, descending, for the bound.
+    // Per-class positive parts of the singletons, descending, for the bound.
     let singles: Vec<f64> = (0..n)
-        .map(|c| cinf_set_model(sets, &[c as u32], n_classes, model).max(0.0))
+        .map(|c| positive_parts_model(sets, c, n_classes, model))
         .collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| singles[b].total_cmp(&singles[a]).then(a.cmp(&b)));
@@ -302,6 +330,59 @@ mod tests {
             );
             assert_eq!(opt.selected.len(), k);
         }
+    }
+
+    /// A model whose contested class dilutes: uncontested users count +1,
+    /// contested ones −¼ each.
+    struct Dilution;
+
+    impl CompetitionModel for Dilution {
+        fn name(&self) -> &'static str {
+            "dilution"
+        }
+
+        fn class_contribution(&self, w: usize, n: u32) -> f64 {
+            if w == 0 {
+                f64::from(n)
+            } else {
+                -0.25 * f64::from(n)
+            }
+        }
+
+        fn is_submodular(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn mixed_sign_models_keep_the_optimum() {
+        // Users 0..16 are uncontested (+1), users 16..41 contested (−¼).
+        //   c0 = {0, 1}                    → +2
+        //   c1 = {2..10} ∪ contested (25)  → 8 − 6.25 = 1.75
+        //   c2 = {10..16} ∪ contested (25) → 6 − 6.25 = −0.25
+        // {c1, c2} shares the contested users: 14 − 6.25 = 7.75, the
+        // optimum. Bounding c2 by the positive part of its total (0)
+        // prunes it and returns {c0, c1} = 3.75; its per-class positive
+        // part (6) keeps it in play.
+        let mut f_count = vec![0u32; 41];
+        f_count[16..].fill(1);
+        let contested = 16u32..41;
+        let c0 = vec![0, 1];
+        let c1: Vec<u32> = (2..10).chain(contested.clone()).collect();
+        let c2: Vec<u32> = (10..16).chain(contested).collect();
+        let sets = InfluenceSets::new(vec![c0, c1, c2], f_count);
+
+        let sol = solve_exact_model(&sets, 2, &Dilution);
+        // Brute force over every subset of at most two candidates.
+        let subsets: [&[u32]; 7] = [&[], &[0], &[1], &[2], &[0, 1], &[0, 2], &[1, 2]];
+        let n_classes = sets.n_weight_classes();
+        let brute = subsets
+            .iter()
+            .map(|set| cinf_set_model(&sets, set, n_classes, &Dilution))
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(brute, 7.75);
+        assert_eq!(sol.selected, vec![1, 2]);
+        assert_eq!(sol.cinf, brute, "the bound pruned the optimum");
     }
 
     #[test]

@@ -344,12 +344,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
-/// The 256-entry lookup table for the reflected polynomial `0xEDB88320`,
-/// generated at compile time. One table lookup per input byte replaces the
-/// 8-iteration bit loop; with per-section CRC on the zero-copy load path,
+/// Slicing-by-8 lookup tables for the reflected polynomial `0xEDB88320`,
+/// generated at compile time. `CRC32_TABLES[0]` is the classic bytewise
+/// table; `CRC32_TABLES[k][i]` advances the CRC of byte `i` through `k`
+/// further zero bytes, so eight table lookups fold eight input bytes at
+/// once. With per-section CRC on every snapshot save and load,
 /// checksumming must not dominate a load that no longer decodes payloads.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -359,18 +361,42 @@ const CRC32_TABLE: [u32; 256] = {
             c = (c >> 1) ^ (0xEDB8_8320 & mask);
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// Streaming CRC-32 state update: feed `state = 0xFFFF_FFFF`, then chunks,
 /// then XOR the result with `0xFFFF_FFFF` (what [`crc32`] does in one go).
+/// Eight bytes per step (slicing-by-8), then a bytewise tail; any split of
+/// the input into chunks gives the same result.
 pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        let idx = ((state ^ u32::from(b)) & 0xFF) as usize;
-        state = (state >> 8) ^ CRC32_TABLE[idx];
+    let t = &CRC32_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = state ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        state = (state >> 8) ^ t[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
 }
@@ -452,6 +478,75 @@ mod tests {
         state = crc32_update(state, b"1234");
         state = crc32_update(state, b"56789");
         assert_eq!(state ^ 0xFFFF_FFFF, 0xCBF4_3926);
+    }
+
+    /// The textbook bit-at-a-time CRC-32, independent of the tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut state = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            state ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(state & 1);
+                state = (state >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        state ^ 0xFFFF_FFFF
+    }
+
+    fn pseudo_random_bytes(n: usize, mut seed: u64) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                // lint:allow(narrowing-cast): keeps the low byte on purpose
+                (seed >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_by_8_agrees_with_the_bitwise_reference() {
+        let buf = pseudo_random_bytes(80, 0x9E37_79B9_7F4A_7C15);
+        // Every short length at every alignment: the 8-byte body, the
+        // bytewise tail and their seam.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+        for (n, seed) in [(4099usize, 1u64), (65_536, 2), (1 << 20, 3)] {
+            let big = pseudo_random_bytes(n, seed);
+            assert_eq!(crc32(&big), crc32_bitwise(&big), "len {n}");
+        }
+    }
+
+    #[test]
+    fn crc32_update_is_split_invariant() {
+        let buf = pseudo_random_bytes(200, 0xDEAD_BEEF);
+        let whole = crc32(&buf);
+        for cut in 0..=buf.len() {
+            let state = crc32_update(0xFFFF_FFFF, &buf[..cut]);
+            assert_eq!(
+                crc32_update(state, &buf[cut..]) ^ 0xFFFF_FFFF,
+                whole,
+                "cut {cut}"
+            );
+        }
+        // Three-way splits, including empty and sub-word pieces.
+        for a in (0..buf.len()).step_by(7) {
+            for b in (a..buf.len()).step_by(11) {
+                let mut state = crc32_update(0xFFFF_FFFF, &buf[..a]);
+                state = crc32_update(state, &buf[a..b]);
+                state = crc32_update(state, &buf[b..]);
+                assert_eq!(state ^ 0xFFFF_FFFF, whole, "cuts {a} {b}");
+            }
+        }
     }
 
     #[test]

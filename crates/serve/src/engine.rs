@@ -1,32 +1,48 @@
-//! The shard-per-worker query engine: scatter/gather selection over a
-//! zero-copy loaded snapshot.
+//! The shard-per-worker query engine: scatter/gather selection over one
+//! epoch's read plane.
 //!
-//! Queries never re-derive influence relationships — the snapshot's
-//! per-shard CSRs are the ground truth. Every query runs the workspace's
-//! one selector ([`mc2ls_core::select`]) over the shard views, fixed to
-//! the decremental scatter/gather plan: per-shard decrement scatter on up
-//! to `min(threads, shards)` workers, gathered into the merged count
-//! matrix — **byte-identical** to every unsharded selector at any shard
-//! and thread count (the workspace invariant, asserted by the loopback
-//! suites). The request's `selector` field is therefore not read. Answers
-//! carry [`mc2ls_core::PruneStats::default`] pruning counters — the
-//! visible proof that zero influence evaluations ran.
+//! An engine serves one of two planes, holding the same per-shard rows:
+//!
+//! * a **zero-copy [`LoadedSnapshot`]** — the validated container bytes of
+//!   a `.mc2s` file, read through borrowed shard views (cold start,
+//!   RELOAD, [`QueryEngine::new`]);
+//! * a **live epoch's owned plane** — the update engine's compacted CSRs
+//!   split by the epoch's shard manifest, handed over by an UPDATE batch
+//!   without ever being encoded into a container.
+//!
+//! Queries never re-derive influence relationships — the per-shard CSRs
+//! are the ground truth. Every query runs the workspace's one selector
+//! ([`mc2ls_core::select`]) over the plane's [`Rows`] (`ShardView`s or
+//! `SetRows`), fixed to the decremental scatter/gather plan: per-shard
+//! decrement scatter on up to `min(threads, shards)` workers, gathered
+//! into the merged count matrix — **byte-identical** to every unsharded
+//! selector at any shard and thread count, on either plane (the workspace
+//! invariant, asserted by the loopback and live suites). The request's
+//! `selector` field is therefore not read. Answers carry
+//! [`mc2ls_core::PruneStats::default`] pruning counters — the visible
+//! proof that zero influence evaluations ran.
 //!
 //! The initial per-candidate count matrix ([`mc2ls_core::class_counts`])
-//! is materialised **once per snapshot epoch** (lazily, on the first
-//! query) and shared: every query, full-set or subset, seeds from its
-//! rows. Concurrent queries on the same epoch therefore share one
+//! is materialised **once per epoch** (lazily, on the first query) and
+//! shared: every query, full-set or subset, seeds from its rows.
+//! Concurrent queries on the same epoch therefore share one
 //! gain-materialisation pass — the engine half of request batching (the
-//! server adds single-flight coalescing on top).
+//! server adds single-flight coalescing on top). PROPOSE reads per-shard
+//! position blocks, decoded from `PBLK` or built from a live epoch's users
+//! on first use.
 
 use crate::cache::canonical_subset;
 use crate::error::SnapshotError;
+use crate::live::EpochPlane;
 use crate::protocol::{ProposeRequest, QueryAnswer, QueryRequest};
 use crate::snapshot::{Snapshot, SnapshotMeta};
 use crate::view::LoadedSnapshot;
 use mc2ls_candgen::{propose_from_blocks, Proposal, SweepConfig};
 use mc2ls_core::algorithms::Selector;
-use mc2ls_core::{class_counts, select, ClassCounts, GatherScratch, PruneStats, SelectOpts};
+use mc2ls_core::{
+    class_counts, select, ClassCounts, GatherScratch, GatherStats, PruneStats, Rows, SelectOpts,
+    SelectionStats, Solution,
+};
 use mc2ls_influence::{Model, BLOCK_SIZE_AUTO};
 use std::sync::{Mutex, OnceLock};
 
@@ -179,15 +195,24 @@ impl std::fmt::Display for ProposeError {
 
 impl std::error::Error for ProposeError {}
 
-/// A zero-copy loaded snapshot plus the scatter worker count and the
+/// What an engine serves from.
+#[derive(Debug)]
+enum Plane {
+    /// A validated container, read zero-copy (cold start, RELOAD).
+    Loaded(LoadedSnapshot),
+    /// A live epoch's compacted CSRs, owned (UPDATE).
+    Live(EpochPlane),
+}
+
+/// One epoch's read plane plus the scatter worker count and the
 /// epoch-shared count matrix.
 #[derive(Debug)]
 pub struct QueryEngine {
-    loaded: LoadedSnapshot,
+    plane: Plane,
     threads: usize,
     /// Initial count matrix of the full candidate set, materialised once
-    /// per engine (= snapshot epoch) on first use and shared by every
-    /// query until the next reload.
+    /// per engine (= epoch) on first use and shared by every query until
+    /// the next swap.
     epoch_counts: OnceLock<ClassCounts>,
     /// Pool of selection scratch buffers (heap, version/taken/stamp
     /// arrays, coverage bitsets). Each query checks one out, selects with
@@ -204,12 +229,7 @@ impl QueryEngine {
         let bytes = snapshot.to_bytes();
         // lint:allow(panic-path): encoding a consistent snapshot and re-validating it cannot fail
         let loaded = LoadedSnapshot::from_bytes(bytes).expect("snapshot re-validates");
-        QueryEngine {
-            loaded,
-            threads: threads.max(1),
-            epoch_counts: OnceLock::new(),
-            scratch_pool: Mutex::new(Vec::new()),
-        }
+        QueryEngine::serving(Plane::Loaded(loaded), threads)
     }
 
     /// Builds an engine straight from container bytes via the zero-copy
@@ -218,12 +238,24 @@ impl QueryEngine {
     /// # Errors
     /// Every validation error [`LoadedSnapshot::from_bytes`] produces.
     pub fn from_bytes(bytes: Vec<u8>, threads: usize) -> Result<Self, SnapshotError> {
-        Ok(QueryEngine {
-            loaded: LoadedSnapshot::from_bytes(bytes)?,
+        let loaded = LoadedSnapshot::from_bytes(bytes)?;
+        Ok(QueryEngine::serving(Plane::Loaded(loaded), threads))
+    }
+
+    /// Serves a live epoch's owned plane — the UPDATE entry point. Nothing
+    /// is encoded or re-validated: the plane comes straight from the update
+    /// engine's compaction.
+    pub(crate) fn from_plane(plane: EpochPlane, threads: usize) -> Self {
+        QueryEngine::serving(Plane::Live(plane), threads)
+    }
+
+    fn serving(plane: Plane, threads: usize) -> Self {
+        QueryEngine {
+            plane,
             threads: threads.max(1),
             epoch_counts: OnceLock::new(),
             scratch_pool: Mutex::new(Vec::new()),
-        })
+        }
     }
 
     /// Checks a scratch out of the pool (or starts a fresh one when all
@@ -243,20 +275,27 @@ impl QueryEngine {
         }
     }
 
-    /// The loaded snapshot's metadata.
+    /// The epoch's metadata.
     pub fn meta(&self) -> &SnapshotMeta {
-        self.loaded.meta()
+        match &self.plane {
+            Plane::Loaded(loaded) => loaded.meta(),
+            Plane::Live(plane) => plane.meta(),
+        }
     }
 
     /// The raw container bytes this engine serves from — the base a delta
-    /// reload applies onto.
-    pub fn snapshot_bytes(&self) -> &[u8] {
-        self.loaded.bytes()
+    /// reload applies onto. `None` for a live epoch, which was never
+    /// encoded into a container.
+    pub fn snapshot_bytes(&self) -> Option<&[u8]> {
+        match &self.plane {
+            Plane::Loaded(loaded) => Some(loaded.bytes()),
+            Plane::Live(_) => None,
+        }
     }
 
     /// Number of user shards the engine scatters over.
     pub fn n_shards(&self) -> usize {
-        self.loaded.n_shards()
+        self.meta().n_shards()
     }
 
     /// Canonicalises a requested block size: the auto sentinel resolves to
@@ -265,20 +304,27 @@ impl QueryEngine {
     /// same cache key).
     pub fn canonical_block_size(&self, requested: usize) -> usize {
         if requested == BLOCK_SIZE_AUTO {
-            self.loaded.meta().resolved_block_size
+            self.meta().resolved_block_size
         } else {
             requested
         }
     }
 
-    fn epoch_counts(&self) -> &ClassCounts {
-        self.epoch_counts.get_or_init(|| {
-            class_counts(
-                &self.loaded.shard_views(),
-                self.loaded.meta().n_candidates,
-                self.threads,
-            )
-        })
+    /// Runs the one selector over `rows`, seeded from the epoch's count
+    /// matrix (materialised from the same rows on first use).
+    fn select_over<R: Rows>(
+        &self,
+        rows: &[R],
+        k: usize,
+        opts: &SelectOpts<'_, Model>,
+    ) -> (Solution, SelectionStats, GatherStats) {
+        let counts = self
+            .epoch_counts
+            .get_or_init(|| class_counts(rows, self.meta().n_candidates, self.threads));
+        let mut scratch = self.take_scratch();
+        let out = select(rows, Some(counts), k, opts, &mut scratch);
+        self.put_scratch(scratch);
+        out
     }
 
     /// Validates `req` against the snapshot and runs the scatter/gather
@@ -289,7 +335,7 @@ impl QueryEngine {
     /// (τ / canonical block size), addresses an unknown candidate, or
     /// carries an out-of-range budget. Never panics on malformed requests.
     pub fn answer(&self, req: &QueryRequest) -> Result<QueryAnswer, QueryError> {
-        let meta = self.loaded.meta();
+        let meta = self.meta();
         if req.tau.to_bits() != meta.tau.to_bits() {
             return Err(QueryError::TauMismatch {
                 requested: req.tau,
@@ -332,15 +378,10 @@ impl QueryEngine {
             threads: self.threads,
             subset: canon.as_deref(),
         };
-        let mut scratch = self.take_scratch();
-        let (solution, selection, gather) = select(
-            &self.loaded.shard_views(),
-            Some(self.epoch_counts()),
-            req.k,
-            &opts,
-            &mut scratch,
-        );
-        self.put_scratch(scratch);
+        let (solution, selection, gather) = match &self.plane {
+            Plane::Loaded(loaded) => self.select_over(&loaded.shard_views(), req.k, &opts),
+            Plane::Live(plane) => self.select_over(&plane.rows(), req.k, &opts),
+        };
         Ok(QueryAnswer {
             solution,
             selection,
@@ -356,9 +397,10 @@ impl QueryEngine {
 
 impl QueryEngine {
     /// Validates `req` and runs the MaxRS-style candidate sweep over the
-    /// snapshot's position blocks (decoded lazily on the first PROPOSE,
-    /// cached afterwards). Pure read: proposing never touches the query
-    /// plane, the result cache, or the epoch counts.
+    /// epoch's position blocks (decoded from `PBLK`, or built from a live
+    /// epoch's users, on the first PROPOSE and cached afterwards). Pure
+    /// read: proposing never touches the query plane, the result cache, or
+    /// the epoch counts.
     ///
     /// # Errors
     /// A typed [`ProposeError`] on out-of-range sweep parameters or a PBLK
@@ -378,10 +420,10 @@ impl QueryEngine {
                 });
             }
         }
-        let blocks = self
-            .loaded
-            .position_blocks()
-            .map_err(ProposeError::Snapshot)?;
+        let blocks = match &self.plane {
+            Plane::Loaded(loaded) => loaded.position_blocks().map_err(ProposeError::Snapshot)?,
+            Plane::Live(plane) => plane.position_blocks(),
+        };
         let mut cfg = SweepConfig::new(req.window, req.m).with_threads(self.threads);
         if let Some(sep) = req.min_separation {
             cfg = cfg.with_min_separation(sep);
@@ -668,6 +710,91 @@ mod tests {
             Err(ProposeError::BadSeparation { .. })
         ));
         assert!(engine.propose(&req(1.0, 3, None)).is_ok());
+    }
+
+    /// Two engines serve the same epoch: identical META, shard count,
+    /// answers (ids, gain bits, deterministic stats) and proposals.
+    fn assert_same_epoch(a: &QueryEngine, b: &QueryEngine, problem: &Problem<Sigmoid>) {
+        assert_eq!(a.meta(), b.meta());
+        assert_eq!(a.n_shards(), b.n_shards());
+        for candidates in [None, Some(vec![9u32, 2, 14, 2, 5, 0, 11])] {
+            for k in [1usize, 3] {
+                let q = query(problem, candidates.clone(), k);
+                let (x, y) = (a.answer(&q).expect("answer"), b.answer(&q).expect("answer"));
+                assert_eq!(x.solution.selected, y.solution.selected);
+                assert_eq!(x.solution.cinf.to_bits(), y.solution.cinf.to_bits());
+                let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&x.solution.marginal_gains),
+                    bits(&y.solution.marginal_gains)
+                );
+                assert_eq!(x.selection, y.selection);
+                let shape = |g: &GatherStats| {
+                    (
+                        g.shards,
+                        g.workers,
+                        g.rounds,
+                        g.scatter_events,
+                        g.shared_epoch,
+                    )
+                };
+                assert_eq!(shape(&x.gather), shape(&y.gather));
+            }
+        }
+        let req = ProposeRequest {
+            window: 3.0,
+            m: 5,
+            min_separation: Some(1.0),
+        };
+        let json = |e: &QueryEngine| serde_json::to_string(&e.propose(&req).expect("propose"));
+        assert_eq!(json(a).expect("json"), json(b).expect("json"));
+    }
+
+    #[test]
+    fn owned_planes_serve_what_the_assembled_snapshot_serves() {
+        use crate::live::LiveUpdater;
+        use crate::protocol::WireEvent;
+        let problem = random_problem(71, 60, 16);
+        let event = |op: &str, user: u32, xs: Vec<f64>, ys: Vec<f64>| WireEvent {
+            op: op.to_string(),
+            user,
+            xs,
+            ys,
+        };
+        let batch = vec![
+            event("insert", 0, vec![0.5, 0.7], vec![-1.0, -1.2]),
+            event("checkin", 4, vec![1.5], vec![2.5]),
+            event("delete", 7, vec![], vec![]),
+            event("move", 12, vec![-3.0, -2.5], vec![0.0, 0.4]),
+        ];
+        for (threads, n_shards) in [(1usize, 1usize), (2, 3)] {
+            let (mut owned, snapshot, _) =
+                LiveUpdater::new("plane", &problem, 2.0, threads, n_shards);
+            let (mut assembled, _, _) = LiveUpdater::new("plane", &problem, 2.0, threads, n_shards);
+            let bytes = QueryEngine::new(snapshot, threads);
+            let plane = QueryEngine::from_plane(owned.plane(), threads);
+            assert!(bytes.snapshot_bytes().is_some());
+            assert!(
+                plane.snapshot_bytes().is_none(),
+                "a live epoch has no container"
+            );
+            assert_same_epoch(&plane, &bytes, &problem);
+
+            // One batch later: the server's step and the reference step
+            // report the same batch and serve the same epoch.
+            let starts = bytes.meta().shard_starts.clone();
+            let (report, plane) = owned.advance(&batch, &starts).expect("batch");
+            let (expected, snapshot) = assembled.apply_batch(&batch, &starts).expect("batch");
+            assert_eq!(
+                serde_json::to_string(&report).expect("json"),
+                serde_json::to_string(&expected).expect("json")
+            );
+            assert_same_epoch(
+                &QueryEngine::from_plane(plane, threads),
+                &QueryEngine::new(snapshot, threads),
+                &problem,
+            );
+        }
     }
 
     #[test]

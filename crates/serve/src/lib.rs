@@ -21,13 +21,18 @@
 //!   keyed on canonicalised queries, single-flight request batching,
 //!   live counters and a latency histogram ([`metrics`]), snapshot
 //!   hot-reload (full or delta), and a graceful drain on shutdown.
+//! * **Live mode** ([`live`]): an update engine absorbs UPDATE batches of
+//!   user-mobility events, and each batch's compacted CSRs become the next
+//!   epoch's owned query plane — served in memory, never assembled into a
+//!   container, encoded or re-validated. A live server rejects RELOAD.
 //!
 //! Answers are byte-identical to a direct [`mc2ls_core::algorithms::
 //! solve_threaded`] run on the same instance: the engine ([`engine`])
 //! replays the selection phase through the scatter/gather plan
-//! ([`mc2ls_core::shard`]) over the persisted per-shard CSRs (or a
-//! canonical candidate-subset slice of them), which the workspace
-//! guarantees is bit-equal at every shard and thread count.
+//! ([`mc2ls_core::shard`]) over the per-shard CSRs — a loaded snapshot's
+//! or a live epoch's, or a canonical candidate-subset slice of them —
+//! which the workspace guarantees is bit-equal at every shard and thread
+//! count.
 //!
 //! Everything on a network or file error path returns a typed error
 //! ([`ServeError`] / [`SnapshotError`]) — no panicking shortcuts.

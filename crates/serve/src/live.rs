@@ -1,16 +1,23 @@
 //! Live-mode state behind the UPDATE verb: an [`UpdateEngine`] absorbing
-//! user-mobility events plus the snapshot template that turns its state
-//! back into a servable [`Snapshot`] — no RELOAD, no rebuild.
+//! user-mobility events, and the owned query plane each batch hands the
+//! server — no RELOAD, no rebuild, no container.
 //!
-//! One batch = one epoch. [`LiveUpdater::apply_batch`] validates the whole
+//! One batch = one epoch. `LiveUpdater::advance` validates the whole
 //! batch up front (all-or-nothing: a malformed event rejects the batch
 //! before any state changes), replays the events through the engine's
 //! flip-set path — only candidates whose `Pr_v(o) ≥ τ` decision can change
-//! are re-verified — compacts the update buffers once, and assembles a
-//! fresh snapshot from the already-current influence sets
-//! ([`Snapshot::assemble`] runs zero PF verification evaluations). The
-//! server swaps its query engine to that snapshot exactly like a reload,
-//! except the influence phase never re-runs.
+//! are re-verified — and compacts the update buffers once. The compacted
+//! CSRs then become the epoch's `EpochPlane`: split by the refreshed
+//! shard manifest, one inverted CSR per shard, the epoch's users and its
+//! META. That is everything a query reads. The server swaps its
+//! [`QueryEngine`](crate::QueryEngine) to the plane directly, so no batch
+//! builds an IQuad-tree or position blocks, encodes, checksums or
+//! re-validates a container; PROPOSE builds the position blocks from the
+//! plane's users on first use.
+//!
+//! [`LiveUpdater::apply_batch`] is the same step followed by
+//! [`Snapshot::assemble`], for callers that need a full artifact (a
+//! reference replay, a snapshot to save); the server does not call it.
 //!
 //! **User ids.** Events address server-assigned dense ids. Inserts are
 //! allocated sequentially from [`UpdateReport::next_user_id`]; while no
@@ -20,10 +27,13 @@
 //! reported `next_user_id`.
 
 use crate::protocol::{UpdateReport, WireEvent};
-use crate::snapshot::{Snapshot, SnapshotMeta};
-use mc2ls_core::{Problem, PruneStats, UpdateEngine, UserUpdate};
+use crate::snapshot::{index_shards, shard_blocks, Snapshot, SnapshotMeta};
+use mc2ls_core::{
+    InfluenceSets, InvertedIndex, Problem, PruneStats, SetRows, UpdateEngine, UserUpdate,
+};
 use mc2ls_geo::Point;
-use mc2ls_influence::Sigmoid;
+use mc2ls_influence::{MovingUser, PositionBlocks, Sigmoid};
+use std::sync::OnceLock;
 
 /// A batch rejected before any event was applied.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,8 +71,49 @@ impl std::fmt::Display for UpdateBatchError {
 
 impl std::error::Error for UpdateBatchError {}
 
+/// One live epoch's query plane, owned: the compacted influence sets split
+/// by the epoch's shard manifest, each shard with its inverted CSR, plus
+/// the epoch's users and META. Shard `s` holds the same rows a snapshot's
+/// `ISET`/`IINV` sections would, so selection over it is bit-identical to
+/// selection over the assembled snapshot.
+#[derive(Debug)]
+pub(crate) struct EpochPlane {
+    meta: SnapshotMeta,
+    shards: Vec<(InfluenceSets, InvertedIndex)>,
+    users: Vec<MovingUser>,
+    /// Per-shard position blocks, built from `users` on the first PROPOSE
+    /// (queries never read them).
+    blocks: OnceLock<Vec<PositionBlocks>>,
+}
+
+impl EpochPlane {
+    /// The epoch's metadata, field for field what [`Snapshot::assemble`]
+    /// writes for the same state.
+    pub(crate) fn meta(&self) -> &SnapshotMeta {
+        &self.meta
+    }
+
+    /// The per-shard rows selection runs over.
+    pub(crate) fn rows(&self) -> Vec<SetRows<'_>> {
+        self.shards
+            .iter()
+            .map(|(sets, inverted)| SetRows {
+                sets,
+                inverted: Some(inverted),
+            })
+            .collect()
+    }
+
+    /// The per-shard SoA position blocks the snapshot's `PBLK` sections
+    /// would hold, built on first use and cached for the epoch.
+    pub(crate) fn position_blocks(&self) -> &[PositionBlocks] {
+        self.blocks
+            .get_or_init(|| shard_blocks(&self.users, &self.meta).collect())
+    }
+}
+
 /// The live half of an update-capable server: the incremental engine and
-/// the metadata template snapshots are assembled from.
+/// the metadata template every epoch's META is refreshed from.
 pub struct LiveUpdater {
     engine: UpdateEngine<Sigmoid>,
     meta: SnapshotMeta,
@@ -89,20 +140,7 @@ impl LiveUpdater {
         let method = mc2ls_core::Method::Iqt(mc2ls_core::IqtConfig::iqt(leaf_diagonal));
         let (sets, prune, _times) =
             mc2ls_core::algorithms::influence_sets_threaded(problem, method, threads);
-        let meta = SnapshotMeta {
-            name: name.to_string(),
-            n_users: problem.n_users(),
-            n_candidates: problem.n_candidates(),
-            n_facilities: problem.n_facilities(),
-            tau: problem.tau,
-            block_size: problem.block_size,
-            rho: problem.pf.rho,
-            leaf_diagonal,
-            default_k: problem.k,
-            shard_starts: Vec::new(), // assemble() fills these in
-            resolved_block_size: 1,
-            model: problem.model,
-        };
+        let meta = SnapshotMeta::template(name, problem, leaf_diagonal);
         let snapshot = Snapshot::assemble(
             meta.clone(),
             &problem.users,
@@ -122,8 +160,28 @@ impl LiveUpdater {
         (live, snapshot, prune)
     }
 
-    /// Validates and applies one event batch, compacts, and assembles the
-    /// refreshed snapshot. On `Err` the engine state is untouched.
+    /// Validates and applies one event batch, compacts, and hands back the
+    /// new epoch's owned query plane — the server's UPDATE path. `starts`
+    /// is the shard manifest in force before the batch (it routes
+    /// [`UpdateReport::touched_shards`]). On `Err` the engine state is
+    /// untouched.
+    ///
+    /// # Errors
+    /// A typed [`UpdateBatchError`] naming the first offending event.
+    pub(crate) fn advance(
+        &mut self,
+        events: &[WireEvent],
+        starts: &[u32],
+    ) -> Result<(UpdateReport, EpochPlane), UpdateBatchError> {
+        let report = self.absorb(events, starts)?;
+        Ok((report, self.plane()))
+    }
+
+    /// `LiveUpdater::advance`'s validate → apply → compact step followed
+    /// by [`Snapshot::assemble`] of the refreshed state: the full artifact
+    /// for reference replays and tests. Reports are identical to the
+    /// server's for the same batches. On `Err` the engine state is
+    /// untouched.
     ///
     /// # Errors
     /// A typed [`UpdateBatchError`] naming the first offending event.
@@ -132,6 +190,41 @@ impl LiveUpdater {
         events: &[WireEvent],
         starts: &[u32],
     ) -> Result<(UpdateReport, Snapshot), UpdateBatchError> {
+        let report = self.absorb(events, starts)?;
+        let snapshot = Snapshot::assemble(
+            self.meta.clone(),
+            self.engine.users(),
+            &self.pf,
+            self.engine.sets(),
+            self.threads,
+            self.n_shards,
+        );
+        Ok((report, snapshot))
+    }
+
+    /// The current (compacted) state's query plane.
+    pub(crate) fn plane(&self) -> EpochPlane {
+        let users = self.engine.users().to_vec();
+        let sets = self.engine.sets();
+        let meta = self
+            .meta
+            .clone()
+            .reshaped(&users, sets.n_candidates(), self.n_shards);
+        EpochPlane {
+            shards: index_shards(sets, &meta.shard_starts, self.threads).collect(),
+            meta,
+            users,
+            blocks: OnceLock::new(),
+        }
+    }
+
+    /// Validates the batch, replays it through the flip-set path and
+    /// compacts once.
+    fn absorb(
+        &mut self,
+        events: &[WireEvent],
+        starts: &[u32],
+    ) -> Result<UpdateReport, UpdateBatchError> {
         self.validate(events)?;
         let before = self.engine.stats().clone();
         let mut touched: Vec<u32> = Vec::new();
@@ -144,16 +237,8 @@ impl LiveUpdater {
             touched.push(id);
         }
         self.engine.compact();
-        let after = self.engine.stats().clone();
-        let snapshot = Snapshot::assemble(
-            self.meta.clone(),
-            self.engine.users(),
-            &self.pf,
-            self.engine.sets(),
-            self.threads,
-            self.n_shards,
-        );
-        let report = UpdateReport {
+        let after = self.engine.stats();
+        Ok(UpdateReport {
             applied: events.len() as u64,
             flipped: after.flipped - before.flipped,
             prob_evals: after.prob_evals - before.prob_evals,
@@ -162,8 +247,7 @@ impl LiveUpdater {
             // lint:allow(narrowing-cast): slot count tracks the dense u32 user-id space
             next_user_id: self.engine.n_slots() as u32,
             n_users: self.engine.n_live() as u64,
-        };
-        Ok((report, snapshot))
+        })
     }
 
     /// The underlying engine (stats, state inspection).

@@ -25,7 +25,10 @@
 //! `RELOAD` accepts either a full `.mc2s` container or a `.mc2d` delta;
 //! a delta is applied onto the raw bytes of the snapshot currently being
 //! served (fingerprint-checked) and the spliced result is validated
-//! exactly like a full snapshot before it replaces the engine.
+//! exactly like a full snapshot before it replaces the engine. A live
+//! server rejects RELOAD with a typed `reload:live` error: its epochs come
+//! from the update engine alone, and a reloaded snapshot would diverge
+//! from it (the next UPDATE would silently revert the reload).
 //!
 //! Nothing here panics on socket errors: failed writes to a dying peer are
 //! dropped on the floor (the peer is gone; there is nobody to tell) and
@@ -179,9 +182,9 @@ impl Server {
     }
 
     /// Like [`Server::start`], but in **live mode**: the server also owns
-    /// an update engine and accepts the UPDATE verb, swapping the serving
-    /// snapshot after each absorbed batch — the influence phase never
-    /// re-runs.
+    /// an update engine and accepts the UPDATE verb, swapping to the new
+    /// epoch's owned plane after each absorbed batch — the influence phase
+    /// never re-runs, and no snapshot is rebuilt. RELOAD is rejected.
     ///
     /// # Errors
     /// [`ServeError::Io`] when the bind fails or the listener cannot be
@@ -526,14 +529,38 @@ fn record_latency(shared: &Shared, started: Instant) {
     shared.metrics.latency.record(us);
 }
 
+/// Installs `engine` as the serving epoch. Cached answers and pending
+/// flights belong to the old epoch (in-flight leaders still publish to
+/// their joiners; new arrivals start fresh flights).
+fn swap_engine(shared: &Shared, engine: QueryEngine) {
+    match shared.engine.write() {
+        Ok(mut guard) => *guard = Arc::new(engine),
+        Err(poisoned) => *poisoned.into_inner() = Arc::new(engine),
+    }
+    lock(&shared.cache).clear();
+    lock(&shared.batcher).clear();
+}
+
 fn handle_reload(path: &str, shared: &Shared) -> Response {
+    if shared.live.is_some() {
+        Metrics::bump(&shared.metrics.errors);
+        return Response::Error {
+            kind: "reload:live".to_string(),
+            message: "a live server takes its epochs from UPDATE batches only; \
+                      restart without --live to serve a snapshot file"
+                .to_string(),
+        };
+    }
     let loaded: Result<(QueryEngine, bool), SnapshotError> = (|| {
         let bytes = std::fs::read(std::path::Path::new(path)).map_err(SnapshotError::Io)?;
         if delta::is_delta(&bytes) {
             // Apply the delta onto the raw bytes of the snapshot being
             // served; the spliced result re-runs full validation.
             let base = current_engine(shared);
-            let spliced = delta::apply(base.snapshot_bytes(), &bytes)?;
+            let base_bytes = base.snapshot_bytes().ok_or(SnapshotError::BadDelta(
+                "the serving epoch has no container bytes to apply onto",
+            ))?;
+            let spliced = delta::apply(base_bytes, &bytes)?;
             Ok((
                 QueryEngine::from_bytes(spliced, shared.config.threads)?,
                 true,
@@ -549,15 +576,7 @@ fn handle_reload(path: &str, shared: &Shared) -> Response {
         Ok((engine, was_delta)) => {
             let meta = engine.meta().clone();
             let shards = engine.n_shards();
-            match shared.engine.write() {
-                Ok(mut guard) => *guard = Arc::new(engine),
-                Err(poisoned) => *poisoned.into_inner() = Arc::new(engine),
-            }
-            // Cached answers and pending flights belong to the old
-            // snapshot epoch (in-flight leaders still publish to their
-            // joiners; new arrivals start fresh flights).
-            lock(&shared.cache).clear();
-            lock(&shared.batcher).clear();
+            swap_engine(shared, engine);
             Metrics::bump(&shared.metrics.reloads);
             if was_delta {
                 Metrics::bump(&shared.metrics.delta_reloads);
@@ -589,9 +608,13 @@ fn handle_reload(path: &str, shared: &Shared) -> Response {
 }
 
 /// Applies one UPDATE batch: validate + flip-set replay + compaction in
-/// the live engine, then swap the serving snapshot exactly like a reload
-/// (cache and flights belong to the old epoch). The influence phase never
-/// re-runs — assembling the refreshed snapshot reuses the engine's sets.
+/// the live engine, then swap to a [`QueryEngine`] over the new epoch's
+/// owned plane (the compacted CSRs split by the refreshed shard manifest).
+/// No IQuad-tree or position blocks are built, and no container is
+/// encoded, checksummed or re-validated: the batch costs the events plus
+/// one compaction. Cache and flights belong to the old epoch. The `live`
+/// lock is held through the swap, so concurrent UPDATEs install their
+/// epochs in the order the update engine absorbed them.
 fn handle_update(events: &[WireEvent], shared: &Shared) -> Response {
     let Some(live) = shared.live.as_ref() else {
         Metrics::bump(&shared.metrics.errors);
@@ -600,21 +623,19 @@ fn handle_update(events: &[WireEvent], shared: &Shared) -> Response {
             message: "server is not in live mode (start with --live to accept updates)".to_string(),
         };
     };
+    let mut live = lock(live);
     // The manifest in force before the batch routes touched users to the
     // shards a delta-shipping follow-up would have to touch.
-    let starts = { current_engine(shared).meta().shard_starts.clone() };
+    // lint:allow(hold-across-blocking): the engine read lock only clones an Arc, and no path takes `live` while holding it
+    let starts = current_engine(shared).meta().shard_starts.clone();
     // lint:allow(hold-across-blocking): `live` serialises writers by design — queries never take it, and the joined compact workers belong to this batch
-    let applied = lock(live).apply_batch(events, &starts);
-    match applied {
-        Ok((report, snapshot)) => {
-            let engine = QueryEngine::new(snapshot, shared.config.threads);
-            match shared.engine.write() {
-                Ok(mut guard) => *guard = Arc::new(engine),
-                Err(poisoned) => *poisoned.into_inner() = Arc::new(engine),
-            }
-            // New epoch: cached answers and pending flights are stale.
-            lock(&shared.cache).clear();
-            lock(&shared.batcher).clear();
+    match live.advance(events, &starts) {
+        Ok((report, plane)) => {
+            // lint:allow(hold-across-blocking): the swap takes the engine, cache and batcher locks briefly; no path takes `live` while holding them
+            swap_engine(
+                shared,
+                QueryEngine::from_plane(plane, shared.config.threads),
+            );
             Metrics::add(&shared.metrics.updates_applied, report.applied);
             Metrics::add(&shared.metrics.flipped_candidates, report.flipped);
             Metrics::add(&shared.metrics.compactions, report.compactions);

@@ -47,7 +47,9 @@ use mc2ls_core::{InfluenceSets, InvertedIndex, Problem, PruneStats};
 use mc2ls_geo::codec::crc32;
 use mc2ls_geo::{ByteReader, ByteWriter, CodecError};
 use mc2ls_index::IQuadTree;
-use mc2ls_influence::{auto_block_size, resolve_block_size, Model, PositionBlocks, Sigmoid};
+use mc2ls_influence::{
+    auto_block_size, resolve_block_size, Model, MovingUser, PositionBlocks, Sigmoid,
+};
 use std::ops::Range;
 
 /// File magic: "MC2S".
@@ -224,6 +226,55 @@ pub struct SnapshotMeta {
 }
 
 impl SnapshotMeta {
+    /// `problem`'s configuration under `name`. The instance-shape fields
+    /// are placeholders until [`SnapshotMeta::reshaped`] fits them to the
+    /// artifacts actually built.
+    pub(crate) fn template(
+        name: &str,
+        problem: &Problem<Sigmoid>,
+        leaf_diagonal: f64,
+    ) -> SnapshotMeta {
+        SnapshotMeta {
+            name: name.to_string(),
+            n_users: problem.n_users(),
+            n_candidates: problem.n_candidates(),
+            n_facilities: problem.n_facilities(),
+            tau: problem.tau,
+            block_size: problem.block_size,
+            rho: problem.pf.rho,
+            leaf_diagonal,
+            default_k: problem.k,
+            shard_starts: Vec::new(),
+            resolved_block_size: 1,
+            model: problem.model,
+        }
+    }
+
+    /// Refreshes the instance-shape fields (`n_users`, `n_candidates`,
+    /// `shard_starts`, `resolved_block_size`) for `users` over
+    /// `n_candidates` candidates split into `n_shards` shards; every
+    /// configuration field is kept as-is. Snapshots and live epochs both
+    /// take their META from here, so the two agree field for field.
+    pub(crate) fn reshaped(
+        mut self,
+        users: &[MovingUser],
+        n_candidates: usize,
+        n_shards: usize,
+    ) -> SnapshotMeta {
+        // PBLK always stores real blocks: the auto sentinel resolves via
+        // the density probe, and the plain sentinel (which disables blocked
+        // verification locally but has no meaning inside a snapshot) falls
+        // back to the same auto-tuned size. `block_size` keeps the
+        // *configured* value so queries validate against what the user
+        // asked for, `resolved_block_size` what `auto` canonicalises to.
+        self.resolved_block_size =
+            resolve_block_size(users, self.block_size).unwrap_or_else(|| auto_block_size(users));
+        self.n_users = users.len();
+        self.n_candidates = n_candidates;
+        self.shard_starts = shard_starts(users.len(), n_shards);
+        self
+    }
+
     fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(96 + self.name.len() + 4 * self.shard_starts.len());
         w.put_str(&self.name);
@@ -314,6 +365,33 @@ impl SnapshotMeta {
     }
 }
 
+/// `sets` split by the shard manifest `starts` ([`split_sets`]), each
+/// shard with its inverted CSR built over `threads` workers: the query
+/// plane of a snapshot or a live epoch.
+pub(crate) fn index_shards(
+    sets: &InfluenceSets,
+    starts: &[u32],
+    threads: usize,
+) -> impl Iterator<Item = (InfluenceSets, InvertedIndex)> {
+    split_sets(sets, starts).into_iter().map(move |local| {
+        let inverted = InvertedIndex::build(&local, threads);
+        (local, inverted)
+    })
+}
+
+/// Per shard of `meta`'s manifest, the blocked position layout of the
+/// shard's users at the resolved block size: a snapshot's `PBLK` sections,
+/// or a live epoch's blocks on its first PROPOSE.
+pub(crate) fn shard_blocks<'a>(
+    users: &'a [MovingUser],
+    meta: &'a SnapshotMeta,
+) -> impl Iterator<Item = PositionBlocks> + 'a {
+    meta.shard_starts.windows(2).map(|w| {
+        let slice = &users[w[0] as usize..w[1] as usize];
+        PositionBlocks::build(slice, meta.resolved_block_size)
+    })
+}
+
 fn read_usize(r: &mut ByteReader<'_>, what: &'static str) -> Result<usize, CodecError> {
     let v = r.get_u64()?;
     usize::try_from(v).map_err(|_| CodecError::BadLength { what, claimed: v })
@@ -382,91 +460,44 @@ impl Snapshot {
     ) -> (Snapshot, PruneStats) {
         let method = Method::Iqt(IqtConfig::iqt(leaf_diagonal));
         let (sets, stats, _times) = influence_sets_threaded(problem, method, threads);
-        // PBLK always stores real blocks: the auto sentinel resolves via
-        // the density probe, and the plain sentinel (which disables blocked
-        // verification locally but has no meaning inside a snapshot) falls
-        // back to the same auto-tuned size. META keeps the *configured*
-        // value so queries validate against what the user asked for, plus
-        // the resolved value so `auto` queries canonicalise.
-        let resolved = resolve_block_size(&problem.users, problem.block_size)
-            .unwrap_or_else(|| auto_block_size(&problem.users));
-        let starts = shard_starts(problem.n_users(), n_shards);
-        let shards: Vec<ShardArtifacts> = split_sets(&sets, &starts)
-            .into_iter()
-            .enumerate()
-            .map(|(s, local)| {
-                let inverted = InvertedIndex::build(&local, threads);
-                let users = &problem.users[starts[s] as usize..starts[s + 1] as usize];
-                let blocks = PositionBlocks::build(users, resolved);
-                ShardArtifacts {
-                    sets: local,
-                    inverted,
-                    blocks,
-                }
-            })
-            .collect();
-        let tree = IQuadTree::build(&problem.users, &problem.pf, problem.tau, leaf_diagonal);
-        let meta = SnapshotMeta {
-            name: name.to_string(),
-            n_users: problem.n_users(),
-            n_candidates: problem.n_candidates(),
-            n_facilities: problem.n_facilities(),
-            tau: problem.tau,
-            block_size: problem.block_size,
-            rho: problem.pf.rho,
-            leaf_diagonal,
-            default_k: problem.k,
-            shard_starts: starts,
-            resolved_block_size: resolved,
-            model: problem.model,
-        };
-        (Snapshot { meta, shards, tree }, stats)
+        let meta = SnapshotMeta::template(name, problem, leaf_diagonal);
+        let snapshot =
+            Snapshot::assemble(meta, &problem.users, &problem.pf, &sets, threads, n_shards);
+        (snapshot, stats)
     }
 
-    /// Assembles a snapshot from **already-computed** influence sets — the
-    /// live-update path: after an [`mc2ls_core::UpdateEngine`] compaction
-    /// the sets are current, so re-deriving them (the expensive influence
-    /// phase of [`Snapshot::build_sharded`]) would be pure waste. This
-    /// re-shards the sets, rebuilds the per-shard inverted/position
-    /// artifacts and the IQuad-tree, and refreshes the instance-shape
-    /// fields of `meta` (`n_users`, `n_candidates`, `shard_starts`,
-    /// `resolved_block_size`); every configuration field (`name`, `tau`,
-    /// `block_size`, `rho`, `leaf_diagonal`, `default_k`, `n_facilities`)
-    /// is taken from the template as-is.
+    /// Assembles a snapshot from **already-computed** influence sets:
+    /// splits them by the manifest of `n_shards` shards, builds the
+    /// per-shard inverted and position artifacts and the IQuad-tree, and
+    /// refreshes the instance-shape fields of `meta` (`n_users`,
+    /// `n_candidates`, `shard_starts`, `resolved_block_size`); every
+    /// configuration field (`name`, `tau`, `block_size`, `rho`,
+    /// `leaf_diagonal`, `default_k`, `n_facilities`, `model`) is taken from
+    /// the template as-is. [`Snapshot::build_sharded`] is the influence
+    /// phase plus this; [`crate::LiveUpdater::apply_batch`] is one update
+    /// batch plus this.
     ///
     /// Zero PF verification evaluations run here; the IQuad-tree build only
     /// derives its η tables from the PF.
     pub fn assemble(
-        mut meta: SnapshotMeta,
-        users: &[mc2ls_influence::MovingUser],
+        meta: SnapshotMeta,
+        users: &[MovingUser],
         pf: &Sigmoid,
         sets: &InfluenceSets,
         threads: usize,
         n_shards: usize,
     ) -> Snapshot {
         assert_eq!(sets.n_users(), users.len(), "sets/users shape mismatch");
-        let resolved =
-            resolve_block_size(users, meta.block_size).unwrap_or_else(|| auto_block_size(users));
-        let starts = shard_starts(users.len(), n_shards);
-        let shards: Vec<ShardArtifacts> = split_sets(sets, &starts)
-            .into_iter()
-            .enumerate()
-            .map(|(s, local)| {
-                let inverted = InvertedIndex::build(&local, threads);
-                let slice = &users[starts[s] as usize..starts[s + 1] as usize];
-                let blocks = PositionBlocks::build(slice, resolved);
-                ShardArtifacts {
-                    sets: local,
-                    inverted,
-                    blocks,
-                }
+        let meta = meta.reshaped(users, sets.n_candidates(), n_shards);
+        let shards: Vec<ShardArtifacts> = index_shards(sets, &meta.shard_starts, threads)
+            .zip(shard_blocks(users, &meta))
+            .map(|((sets, inverted), blocks)| ShardArtifacts {
+                sets,
+                inverted,
+                blocks,
             })
             .collect();
         let tree = IQuadTree::build(users, pf, meta.tau, meta.leaf_diagonal);
-        meta.n_users = users.len();
-        meta.n_candidates = sets.n_candidates();
-        meta.shard_starts = starts;
-        meta.resolved_block_size = resolved;
         Snapshot { meta, shards, tree }
     }
 

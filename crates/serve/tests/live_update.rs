@@ -8,8 +8,8 @@ use mc2ls_core::{Problem, Solution};
 use mc2ls_geo::Point;
 use mc2ls_influence::{Model, MovingUser, Sigmoid};
 use mc2ls_serve::{
-    Client, LiveUpdater, QueryEngine, QueryRequest, ServeError, Server, ServerConfig, Snapshot,
-    WireEvent,
+    Client, LiveUpdater, ProposeRequest, QueryAnswer, QueryEngine, QueryRequest, ServeError,
+    Server, ServerConfig, Snapshot, WireEvent,
 };
 use rand::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -301,4 +301,164 @@ fn cached_answers_never_outlive_their_epoch() {
     let hit = client.query(&q).expect("query");
     assert!(hit.cached && same(&hit.solution, &expected[BATCHES]));
     server.shutdown();
+}
+
+/// A live server answers RELOAD with a typed `reload:live` error: its
+/// epochs come from the update engine alone. Nothing is swapped, and
+/// queries and UPDATEs keep working on the live instance.
+#[test]
+fn live_servers_reject_reload() {
+    let problem = random_problem(95, 30, 10);
+    let server = start_live(&problem, 2);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+
+    // A perfectly valid snapshot file of the same instance: rejected anyway.
+    let (snapshot, _) = Snapshot::build_sharded("static", &problem, 2.0, 1, 2);
+    let dir = std::env::temp_dir().join(format!("mc2ls-live-reload-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("same.mc2s");
+    snapshot.save(&path).expect("save");
+    match client.reload(&path.to_string_lossy()) {
+        Err(ServeError::Remote { kind, .. }) => assert_eq!(kind, "reload:live"),
+        other => panic!("expected reload:live, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let report = client
+        .update(&[event("insert", 0, &[Point::new(0.5, 0.5)])])
+        .expect("updates still absorbed");
+    assert_eq!(report.n_users, problem.n_users() as u64 + 1);
+    client
+        .query(&query_for(&problem, 2))
+        .expect("queries still answered");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.reloads, 0);
+    assert_eq!(stats.errors, 1, "the rejected RELOAD");
+    assert_eq!(stats.updates_applied, 1);
+    assert_eq!(stats.meta.n_users, problem.n_users() + 1);
+    server.shutdown();
+}
+
+/// A random valid batch against `n` dense live ids: inserts, deletes,
+/// moves and check-ins, addressing batch inserts too.
+fn random_batch(rng: &mut StdRng, n: usize) -> Vec<WireEvent> {
+    let pt = |r: &mut StdRng| Point::new(r.gen_range(-4.0..4.0), r.gen_range(-4.0..4.0));
+    let mut alive: Vec<u32> = (0..n as u32).collect();
+    let mut next = n as u32;
+    (0..rng.gen_range(1..12))
+        .map(|_| match rng.gen_range(0..8) {
+            0 | 1 => {
+                let points: Vec<Point> = (0..rng.gen_range(1..4)).map(|_| pt(rng)).collect();
+                alive.push(next);
+                next += 1;
+                event("insert", 0, &points)
+            }
+            2 if alive.len() > 2 => {
+                let user = alive.swap_remove(rng.gen_range(0..alive.len()));
+                event("delete", user, &[])
+            }
+            3 | 4 => {
+                let user = alive[rng.gen_range(0..alive.len())];
+                let points: Vec<Point> = (0..rng.gen_range(1..4)).map(|_| pt(rng)).collect();
+                event("move", user, &points)
+            }
+            _ => {
+                let user = alive[rng.gen_range(0..alive.len())];
+                event("checkin", user, &[pt(rng)])
+            }
+        })
+        .collect()
+}
+
+/// A comparison key for wire types without `PartialEq`: JSON round-trips
+/// every `f64` exactly.
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("serialisable")
+}
+
+/// The deterministic part of an answer: ids, gain bits, selection stats
+/// and the gather shape (not its wall-clock fields).
+fn answer_bits(a: &QueryAnswer) -> impl PartialEq + std::fmt::Debug {
+    let g = &a.gather;
+    (
+        a.solution.selected.clone(),
+        a.solution.cinf.to_bits(),
+        a.solution
+            .marginal_gains
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>(),
+        a.selection,
+        (
+            g.shards,
+            g.workers,
+            g.rounds,
+            g.scatter_events,
+            g.shared_epoch,
+        ),
+    )
+}
+
+/// After every random batch, the live server serves exactly what an
+/// in-process engine over the reference's fully assembled snapshot
+/// serves: the same reports, full and subset answers, proposals and
+/// epoch META — at every shard count.
+#[test]
+fn live_epochs_match_the_assembled_reference() {
+    const BATCHES: usize = 10;
+    let problem = random_problem(96, 45, 12);
+    let propose = ProposeRequest {
+        window: 1.5,
+        m: 4,
+        min_separation: Some(0.5),
+    };
+    for n_shards in [1usize, 2, 3] {
+        let mut rng = StdRng::seed_from_u64(7 + n_shards as u64);
+        let server = start_live(&problem, n_shards);
+        let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        let (mut reference, snapshot, _) = LiveUpdater::new("live", &problem, 2.0, 2, n_shards);
+        let mut engine = QueryEngine::new(snapshot, 2);
+        let mut n = problem.n_users();
+        let mut ops = std::collections::BTreeSet::new();
+        for b in 0..=BATCHES {
+            let subset: Vec<u32> = (0..6).map(|_| rng.gen_range(0..12)).collect();
+            for (candidates, k) in [(None, 3), (Some(subset), 2)] {
+                let mut q = query_for(&problem, k);
+                q.candidates = candidates;
+                let served = client.query(&q).expect("served");
+                let want = engine.answer(&q).expect("reference");
+                assert_eq!(
+                    answer_bits(&served),
+                    answer_bits(&want),
+                    "shards {n_shards} batch {b}"
+                );
+            }
+            let served = client.propose(&propose).expect("served proposal");
+            let want = engine.propose(&propose).expect("reference proposal");
+            assert_eq!(json(&served), json(&want), "shards {n_shards} batch {b}");
+            let meta = client.stats().expect("stats").meta;
+            let want = engine.meta();
+            assert_eq!(meta.n_users, want.n_users);
+            assert_eq!(meta.shard_starts, want.shard_starts);
+            assert_eq!(meta.resolved_block_size, want.resolved_block_size);
+            assert_eq!(&meta, want);
+            if b == BATCHES {
+                break;
+            }
+
+            let batch = random_batch(&mut rng, n);
+            ops.extend(batch.iter().map(|ev| ev.op.clone()));
+            let starts = engine.meta().shard_starts.clone();
+            let served = client.update(&batch).expect("update accepted");
+            let (want, snapshot) = reference.apply_batch(&batch, &starts).expect("reference");
+            assert_eq!(json(&served), json(&want), "shards {n_shards} batch {b}");
+            n = want.n_users as usize;
+            engine = QueryEngine::new(snapshot, 2);
+        }
+        assert_eq!(ops.len(), 4, "every op kind exercised: {ops:?}");
+        let stats = client.stats().expect("stats");
+        assert!(stats.flipped_candidates > 0, "the batches must flip sites");
+        assert_eq!(stats.compactions, BATCHES as u64);
+        server.shutdown();
+    }
 }
