@@ -18,7 +18,7 @@
 //! `tests/` for the edge-case matrix (empty input, all-coincident
 //! positions, window larger than the data MBR, tie dedup).
 //!
-//! Grid cells reuse [`mc2ls_geo::grid_coords`] — the *same* quad-descent
+//! Grid cells come from [`mc2ls_geo::grid_cells`] — the *same* quad-descent
 //! the IQuad-tree and the blocked verification substrate walk — so a
 //! position lands in the identical cell everywhere in the workspace, and
 //! the serve layer's `PROPOSE` verb can answer straight from a snapshot's

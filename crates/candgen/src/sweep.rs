@@ -9,10 +9,11 @@
 //!    (`cell ≤ r/2`), capped at [`MAX_GRID_DEPTH`] levels. The window then
 //!    spans `s = ⌈r / cell⌉ ∈ {1..4}` cells per axis.
 //! 3. **Count.** Each position maps to its `(column, row)` grid cell via
-//!    [`grid_coords`] — the identical quad descent the IQuad-tree and the
-//!    blocked verifier walk — and per-cell counts are summed. The count
-//!    pass chunks across threads ([`map_chunks`]) and merges per-key `u64`
-//!    sums, so the aggregate is independent of the chunking.
+//!    [`grid_cells`] — the identical quad descent the IQuad-tree and the
+//!    blocked verifier walk, run lockstep over eight positions at a time —
+//!    and per-cell counts are summed. The count pass chunks across threads
+//!    ([`map_chunks`]) and merges per-key `u64` sums, so the aggregate is
+//!    independent of the chunking.
 //! 4. **Sweep.** Candidate window anchors are the non-empty cells and
 //!    their `s×s` down-left shifts (clamped into the grid), deduplicated
 //!    in `BTreeSet` order. Each anchor's score — positions inside its
@@ -33,7 +34,7 @@
 //! solver.
 
 use mc2ls_core::parallel::{map_chunks, map_items};
-use mc2ls_geo::{grid_coords, Extent, Point, Square};
+use mc2ls_geo::{grid_cells, Extent, Point, Square};
 use mc2ls_influence::PositionBlocks;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,6 +43,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Beyond this the grid outresolves any realistic dataset while the
 /// per-axis cell coordinates still interleave into one `u64` Morton code.
 pub const MAX_GRID_DEPTH: usize = 16;
+
+/// Positions bucketed per [`grid_cells`] call in the count pass: large
+/// enough to amortise the call, small enough that the cell buffer stays a
+/// few kilobytes whatever the input size.
+const CELL_BATCH: usize = 1024;
 
 /// Parameters of one sweep.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -180,7 +186,7 @@ impl SparseRows {
 
 /// Interleaves the per-axis cell coordinates of an anchor into its Morton
 /// code — bit-identical to [`mc2ls_geo::morton_code`] of any point inside
-/// the cell, since [`grid_coords`] walks the same descent.
+/// the cell, since [`grid_cells`] walks the same descent.
 fn interleave(cx: u64, cy: u64, depth: usize) -> u64 {
     let mut code = 0u64;
     for level in (0..depth).rev() {
@@ -262,9 +268,15 @@ pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
     //    any thread count.
     let partials = map_chunks(n, cfg.threads, |range| {
         let mut m: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        for i in range {
-            let (cx, cy) = grid_coords(&root, depth, &Point::new(xs[i], ys[i]));
-            *m.entry((cy, cx)).or_insert(0) += 1;
+        let mut cells = Vec::with_capacity(CELL_BATCH);
+        let batches = xs[range.clone()]
+            .chunks(CELL_BATCH)
+            .zip(ys[range].chunks(CELL_BATCH));
+        for (bx, by) in batches {
+            grid_cells(&root, depth, bx, by, &mut cells);
+            for &(cx, cy) in &cells {
+                *m.entry((cy, cx)).or_insert(0) += 1;
+            }
         }
         m
     });
@@ -347,7 +359,7 @@ pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc2ls_geo::morton_code;
+    use mc2ls_geo::{grid_coords, morton_code};
 
     #[test]
     fn interleave_matches_the_geo_morton_code() {

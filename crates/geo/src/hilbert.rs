@@ -11,9 +11,10 @@
 //! The cell a point occupies is computed by [`grid_coords`] — the *same*
 //! floating-point midpoint descent as [`morton_code`](crate::morton_code) —
 //! so the two orderings always agree on cell assignment bit for bit; only
-//! the order of cells along the curve differs.
+//! the order of cells along the curve differs. The batch [`hilbert_codes`]
+//! reads the cells off the lockstep [`morton_codes`] instead.
 
-use crate::morton::grid_coords;
+use crate::morton::{grid_coords, morton_codes, split_code};
 use crate::{Point, Square};
 
 /// The Hilbert-curve index of `p`'s grid cell under a `depth`-level quad
@@ -35,6 +36,20 @@ pub fn hilbert_code(root: &Square, depth: usize, p: &Point) -> u64 {
     }
     let (cx, cy) = grid_coords(root, depth, p);
     hilbert_index(1u64 << depth, cx, cy)
+}
+
+/// [`hilbert_code`] of every point in `points`, in order: `out` is cleared
+/// and refilled with one code per point.
+///
+/// The cells come from the lockstep [`morton_codes`] descent, split back
+/// into `(column, row)`, so every code equals the scalar [`hilbert_code`]'s.
+pub fn hilbert_codes(root: &Square, depth: usize, points: &[Point], out: &mut Vec<u64>) {
+    debug_assert!(depth <= 31, "hilbert depth {depth} exceeds 31");
+    morton_codes(root, depth, points, out);
+    for code in out.iter_mut() {
+        let (cx, cy) = split_code(*code);
+        *code = hilbert_index(1u64 << depth, cx, cy);
+    }
 }
 
 /// The classic xy→d walk: per level, pick the quadrant's position along the

@@ -15,9 +15,11 @@
 //!   diagonal).
 //! * [`Extent`] — incremental bounding-box accumulation for datasets.
 //! * [`morton_code`] / [`hilbert_code`] — z-order and Hilbert-curve codes
-//!   over quad subdivisions, shared by the IQuad-tree builder and the
-//!   blocked verification substrate (both orderings derive their grid cell
-//!   from the same [`grid_coords`] midpoint descent).
+//!   over quad subdivisions, shared by the IQuad-tree builder, the blocked
+//!   verification substrate and the candidate sweep (both orderings derive
+//!   their grid cell from the same [`grid_coords`] midpoint descent). The
+//!   batch forms [`morton_codes`], [`hilbert_codes`] and [`grid_cells`] run
+//!   that descent over [`LANE`] points at a time, bit-identically.
 //! * [`codec`] — the little-endian binary reader/writer (plus CRC-32) the
 //!   snapshot persistence layer pins every artifact's byte layout on.
 //!
@@ -41,8 +43,8 @@ mod square;
 pub use circle::Circle;
 pub use codec::{ByteReader, ByteWriter, CodecError, U32View};
 pub use extent::Extent;
-pub use hilbert::hilbert_code;
-pub use morton::{grid_coords, morton_code};
+pub use hilbert::{hilbert_code, hilbert_codes};
+pub use morton::{grid_cells, grid_coords, morton_code, morton_codes, LANE};
 pub use point::Point;
 pub use rect::Rect;
 pub use square::Square;

@@ -19,11 +19,11 @@
 mod codec;
 mod node;
 
-// `morton_code` lives in `mc2ls_geo`: it performs the same `quadrant_of`
+// `morton_codes` lives in `mc2ls_geo`: it performs the same `quadrant_of`
 // descent `traverse` does, so builder and traversal classify boundary
 // positions identically, and it is shared with the blocked verification
 // substrate in `mc2ls-influence`.
-use mc2ls_geo::{morton_code, Extent, Point, Rect, Square};
+use mc2ls_geo::{morton_codes, Extent, Point, Rect, Square};
 use mc2ls_influence::{eta_count, non_influence_radius, MovingUser, ProbabilityFunction};
 use node::IqtNode;
 
@@ -147,7 +147,9 @@ impl IQuadTree {
     /// paper's `d̂`, default 2 km in the experiments).
     ///
     /// # Panics
-    /// Panics when `leaf_diagonal ≤ 0` or `tau ∉ (0, 1)`.
+    /// Panics when `leaf_diagonal ≤ 0`, when `tau ∉ (0, 1)`, or when the
+    /// users' extent needs more than 31 halvings to reach `leaf_diagonal`
+    /// (the Morton-code budget).
     pub fn build<PF: ProbabilityFunction + ?Sized>(
         users: &[MovingUser],
         pf: &PF,
@@ -176,6 +178,13 @@ impl IQuadTree {
         let leaf_side = leaf_diagonal / std::f64::consts::SQRT_2;
         let need = region.width().max(region.height()) / leaf_side;
         let depth = need.log2().ceil().max(0.0) as usize;
+        // Checked before any `1 << depth` below: a deeper tree would
+        // overflow both the shifts and the 2·depth-bit Morton code.
+        assert!(
+            depth <= 31,
+            "IQuad-tree depth {depth} exceeds the Morton-code budget; \
+             use a larger leaf diagonal"
+        );
         let root_side = leaf_side * (1u64 << depth) as f64;
         let root_square = Square::new(region.min, root_side);
 
@@ -200,12 +209,6 @@ impl IQuadTree {
             last_removed_mbr: None,
         };
 
-        assert!(
-            depth <= 31,
-            "IQuad-tree depth {depth} exceeds the Morton-code budget; \
-             use a larger leaf diagonal"
-        );
-
         // Morton-order construction: one code per position (computed by the
         // same quadrant descent `traverse` uses, so builder and traversal
         // agree bit-for-bit on boundary positions), one global sort, then
@@ -215,10 +218,15 @@ impl IQuadTree {
         // per-node sorting at all.
         let total: usize = users.iter().map(MovingUser::len).sum();
         let mut items: Vec<(u64, u32, Point)> = Vec::with_capacity(total);
+        let mut codes: Vec<u64> = Vec::new();
         for (id, u) in users.iter().enumerate() {
-            for &p in u.positions() {
-                items.push((morton_code(&root_square, depth, &p), id as u32, p));
-            }
+            morton_codes(&root_square, depth, u.positions(), &mut codes);
+            items.extend(
+                codes
+                    .iter()
+                    .zip(u.positions())
+                    .map(|(&code, &p)| (code, id as u32, p)),
+            );
         }
         // Single u128 key (code ≤ 62 bits ‖ user 32 bits) sorts faster than
         // a lexicographic tuple comparison.
@@ -919,6 +927,7 @@ fn merge_counts(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc2ls_geo::morton_code;
     use mc2ls_influence::{influences, Sigmoid};
 
     fn users_grid() -> Vec<MovingUser> {
@@ -1047,6 +1056,14 @@ mod tests {
         // Root counts cover every position exactly once.
         let total: u32 = t.nodes[0].counts.iter().map(|&(_, c)| c).sum();
         assert_eq!(total as usize, users.iter().map(|u| u.len()).sum::<usize>());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the Morton-code budget")]
+    fn a_leaf_too_small_for_the_morton_budget_is_rejected_before_any_shift() {
+        // ~15 km of extent over a 1e-30 km leaf needs ~100 levels: the
+        // budget check must fire before `1 << depth` overflows.
+        IQuadTree::build(&users_grid(), &Sigmoid::paper_default(), 0.5, 1e-30);
     }
 
     #[test]

@@ -64,7 +64,7 @@
 use crate::lanes::{pow_n, LANE};
 use crate::{CountEvals, ProbabilityFunction};
 use mc2ls_geo::{
-    hilbert_code, morton_code, ByteReader, ByteWriter, CodecError, Point, Rect, Square,
+    hilbert_codes, morton_codes, ByteReader, ByteWriter, CodecError, Point, Rect, Square,
 };
 use std::cell::Cell;
 
@@ -207,21 +207,23 @@ impl PositionBlocks {
         let mut user_offsets = Vec::with_capacity(users.len() + 1);
         user_offsets.push(0u32);
 
+        let mut codes: Vec<u64> = Vec::new();
         let mut keyed: Vec<(u64, u32)> = Vec::new();
         for u in users {
             let mbr = u.mbr();
             // A square root over the MBR (degenerate side 0 is fine: all
             // positions then share one code and the original order holds).
             let root = Square::new(mbr.min, mbr.width().max(mbr.height()));
+            match ordering {
+                BlockOrdering::Morton => {
+                    morton_codes(&root, CURVE_DEPTH, u.positions(), &mut codes)
+                }
+                BlockOrdering::Hilbert => {
+                    hilbert_codes(&root, CURVE_DEPTH, u.positions(), &mut codes)
+                }
+            }
             keyed.clear();
-            keyed.extend(u.positions().iter().enumerate().map(|(i, p)| {
-                let code = match ordering {
-                    BlockOrdering::Morton => morton_code(&root, CURVE_DEPTH, p),
-                    BlockOrdering::Hilbert => hilbert_code(&root, CURVE_DEPTH, p),
-                };
-                // lint:allow(narrowing-cast): i indexes one user's positions; r_max fits the u32 id space
-                (code, i as u32)
-            }));
+            keyed.extend(codes.iter().copied().zip(0u32..));
             keyed.sort_unstable();
             for chunk in keyed.chunks(block_size) {
                 let first = u.positions()[chunk[0].1 as usize];

@@ -10,11 +10,11 @@
 
 use std::f64::consts::{LN_2, LOG2_E};
 
-/// Fixed lane width of the chunked verification kernel. Eight `f64`s span
-/// one or two SIMD registers on every target the workspace builds for, and
-/// the fixed-size `[f64; LANE]` scratch arrays keep the distance / PF loops
+/// Fixed lane width of the chunked verification kernel — the workspace's
+/// one lane width, shared with the lockstep Morton descent in `mc2ls-geo`.
+/// The fixed-size `[f64; LANE]` scratch arrays keep the distance / PF loops
 /// free of bounds checks and per-element branches.
-pub const LANE: usize = 8;
+pub use mc2ls_geo::LANE;
 
 /// Relative error bound of [`exp_neg`] against `f64::exp` on `[-700, 0]`:
 /// `|exp_neg(x) − e^x| ≤ EXP_NEG_EPS · e^x`. Enforced by a dense-grid test;

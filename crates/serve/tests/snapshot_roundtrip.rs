@@ -3,8 +3,8 @@
 //! corruption, truncation, or version skew is a typed [`SnapshotError`] —
 //! never a panic, never a silently different snapshot.
 
-use mc2ls_core::Problem;
-use mc2ls_geo::Point;
+use mc2ls_core::{Problem, PruneStats};
+use mc2ls_geo::{codec::crc32, Point};
 use mc2ls_influence::{MovingUser, Sigmoid};
 use mc2ls_serve::{ShardArtifacts, Snapshot, SnapshotError};
 use proptest::prelude::*;
@@ -153,4 +153,72 @@ fn artifacts_that_disagree_are_rejected() {
         Snapshot::from_bytes(&bytes),
         Err(SnapshotError::Inconsistent(_))
     ));
+}
+
+/// Clustered users with 5–39 positions each over 4-position blocks, so
+/// most users span several blocks and the block order decides which
+/// positions share an MBR.
+fn pinned_problem() -> Problem<Sigmoid> {
+    let mut rng = StdRng::seed_from_u64(0x5eed_0b10c);
+    let users = (0..48)
+        .map(|_| {
+            let home = Point::new(rng.gen_range(-12.0..12.0), rng.gen_range(-12.0..12.0));
+            let spread: f64 = rng.gen_range(0.3..3.0);
+            let n = rng.gen_range(5..40);
+            MovingUser::new(
+                (0..n)
+                    .map(|_| {
+                        Point::new(
+                            home.x + rng.gen_range(-spread..spread),
+                            home.y + rng.gen_range(-spread..spread),
+                        )
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let pt = |r: &mut StdRng| Point::new(r.gen_range(-12.0..12.0), r.gen_range(-12.0..12.0));
+    let facilities = (0..6).map(|_| pt(&mut rng)).collect();
+    let candidates = (0..12).map(|_| pt(&mut rng)).collect();
+    Problem::new(
+        users,
+        facilities,
+        candidates,
+        4,
+        0.5,
+        Sigmoid::paper_default(),
+    )
+    .with_block_size(4)
+}
+
+/// The built artifacts are pinned byte for byte. Block order never changes
+/// a verification decision, so a wrong but self-consistent position order
+/// (Morton codes in the block layout, the IQuad-tree's leaf order) passes
+/// every equivalence suite; only the PBLK/IQTR bytes and `blocks_opened`
+/// show it. The pinned values were produced by builders keying through the
+/// scalar `morton_code`, so they also hold the batch keys to that oracle
+/// end to end.
+#[test]
+fn built_artifacts_match_their_pinned_bytes() {
+    let problem = pinned_problem();
+    let pinned_stats = PruneStats {
+        pairs_total: 864,
+        is_decided: 3,
+        nir_decided: 736,
+        ia_decided: 0,
+        nib_decided: 37,
+        irrelevant: 14,
+        verified: 74,
+        prob_evals: 210,
+        blocks_bounded_out: 402,
+        blocks_opened: 55,
+        pf_fallbacks: 0,
+    };
+    for (shards, len, crc) in [(1, 117_171, 0x826c_ccb1), (2, 117_375, 0x01bd_f832)] {
+        let (snap, stats) = Snapshot::build_sharded("pin", &problem, 1.0, 1, shards);
+        let bytes = snap.to_bytes();
+        assert_eq!(bytes.len(), len, "{shards} shard(s): container length");
+        assert_eq!(crc32(&bytes), crc, "{shards} shard(s): container CRC-32");
+        assert_eq!(stats, pinned_stats, "{shards} shard(s): prune stats");
+    }
 }
