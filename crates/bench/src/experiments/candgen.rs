@@ -5,11 +5,14 @@
 //!
 //! The experiment also pins the competition-model dispatch: an explicit
 //! `Model::Cumulative` problem must solve bit-identically to the default.
+//! Each row records the sweep's cost: its non-empty cells, its scored
+//! window anchors, and its wall-clock (median over `--reps`).
 
 use crate::{Ctx, ExperimentResult};
 use mc2ls::prelude::*;
-use mc2ls_candgen::{propose, SweepConfig};
+use mc2ls_candgen::{propose, Proposal, SweepConfig};
 use serde_json::json;
+use std::time::Instant;
 
 /// Runs the experiment; see the module docs for the protocol.
 pub fn candgen(ctx: &Ctx) -> ExperimentResult {
@@ -47,7 +50,12 @@ pub fn candgen(ctx: &Ctx) -> ExperimentResult {
             .flat_map(|u| u.positions().iter().copied())
             .collect();
         let cfg = SweepConfig::new(crate::defaults::D_HAT, preset_problem.candidates.len());
-        let proposal = propose(&points, &cfg);
+        let mut proposal = Proposal::default();
+        let sweep = super::median_of(ctx.reps, || {
+            let start = Instant::now();
+            proposal = propose(&points, &cfg);
+            start.elapsed()
+        });
         let generated_problem = Problem::new(
             dataset.users.clone(),
             preset_problem.facilities.clone(),
@@ -66,6 +74,9 @@ pub fn candgen(ctx: &Ctx) -> ExperimentResult {
                 .set("k", json!(preset_problem.k))
                 .set("m", json!(proposal.sites.len()))
                 .set("positions", json!(proposal.stats.n_positions))
+                .set("nonempty_cells", json!(proposal.stats.nonempty_cells))
+                .set("anchors", json!(proposal.stats.anchors))
+                .set("sweep_ms", super::ms(sweep))
                 .set(
                     "preset_cinf",
                     json!((preset.solution.cinf * 100.0).round() / 100.0),

@@ -25,7 +25,7 @@ use crate::{Ctx, ExperimentResult};
 use mc2ls::core::algorithms::{run_selector, Selector};
 use mc2ls::prelude::*;
 use serde_json::json;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const K_SWEEP: [usize; 4] = [5, 10, 20, 40];
 const CANDIDATE_SWEEP: [usize; 2] = [100, 200];
@@ -33,13 +33,6 @@ const CANDIDATE_SWEEP: [usize; 2] = [100, 200];
 /// Minimum `Σ|Ω_c|` for the decremental-vs-CELF work assertion to be
 /// meaningful (see the module docs).
 const MIN_COMPARABLE_ENTRIES: u64 = 1000;
-
-/// Median wall-clock of `reps` runs of `f`.
-fn median_of<F: FnMut() -> Duration>(reps: usize, mut f: F) -> Duration {
-    let mut times: Vec<Duration> = (0..reps.max(1)).map(|_| f()).collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
 
 /// Runs the experiment; see the module docs for the counters and asserts.
 pub fn greedy(ctx: &Ctx) -> ExperimentResult {
@@ -108,7 +101,7 @@ pub fn greedy(ctx: &Ctx) -> ExperimentResult {
                 }
 
                 let time = |selector| {
-                    median_of(ctx.reps, || {
+                    super::median_of(ctx.reps, || {
                         let t = Instant::now();
                         std::hint::black_box(run_selector(selector, &sets, k, 1));
                         t.elapsed()

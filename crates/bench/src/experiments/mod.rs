@@ -77,6 +77,13 @@ pub fn all() -> Vec<(&'static str, Runner)> {
 /// The τ sweep the paper uses throughout.
 pub(crate) const TAUS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
+/// Median wall-clock of `reps` runs of `f` (at least one run).
+fn median_of<F: FnMut() -> std::time::Duration>(reps: usize, mut f: F) -> std::time::Duration {
+    let mut times: Vec<std::time::Duration> = (0..reps.max(1)).map(|_| f()).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
 /// Milliseconds with two decimals, as a JSON number.
 pub(crate) fn ms(d: std::time::Duration) -> serde_json::Value {
     serde_json::json!((d.as_secs_f64() * 100_000.0).round() / 100.0)

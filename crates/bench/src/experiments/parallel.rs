@@ -33,13 +33,6 @@ use std::time::{Duration, Instant};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
-/// Median wall-clock of `reps` runs of `f`.
-fn median_of<F: FnMut() -> Duration>(reps: usize, mut f: F) -> Duration {
-    let mut times: Vec<Duration> = (0..reps.max(1)).map(|_| f()).collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 /// The chunk boundaries `map_chunks` uses for `n_items` over `threads`.
 fn chunk_bounds(n_items: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
     let threads = threads.min(n_items.max(1));
@@ -131,7 +124,7 @@ pub fn parallel(ctx: &Ctx) -> ExperimentResult {
         ] {
             let (reference, _, _) = influence_sets_threaded(&problem, method, 1);
             let timed = |threads: usize| {
-                median_of(ctx.reps, || {
+                super::median_of(ctx.reps, || {
                     let t = Instant::now();
                     let (sets, _, _) = influence_sets_threaded(&problem, method, threads);
                     let elapsed = t.elapsed();

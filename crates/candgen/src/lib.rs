@@ -10,13 +10,15 @@
 //! candidate file the existing pipeline consumes unchanged.
 //!
 //! The sweep is **deterministic at any thread count**: per-cell position
-//! counts are integer sums merged per key (commutative), anchors are
-//! enumerated in `BTreeSet` order, window scores are exact `u64` sums, and
-//! ties rank by the anchor cell's Morton code (smallest wins — also the
-//! winner under the min-separation dedup rule). See
-//! [`sweep::propose`] for the full contract and
-//! `tests/` for the edge-case matrix (empty input, all-coincident
-//! positions, window larger than the data MBR, tie dedup).
+//! counts come from radix-sorting every position's cell key (the sorted
+//! multiset ignores how the key pass was chunked), anchors are enumerated
+//! in `(row, column)` order by a separable box sum, window scores are
+//! exact `u64` sums, and ties rank by the anchor cell's Morton code
+//! (smallest wins — also the winner under the min-separation dedup rule).
+//! See [`sweep::propose`] for the full contract and `tests/` for the
+//! edge-case matrix (empty input, all-coincident positions, window larger
+//! than the data MBR, tie dedup), a property test against a dense
+//! brute-force reference, and the pinned proposals.
 //!
 //! Grid cells come from [`mc2ls_geo::grid_cells`] — the *same* quad-descent
 //! the IQuad-tree and the blocked verification substrate walk — so a

@@ -11,19 +11,27 @@
 //! 3. **Count.** Each position maps to its `(column, row)` grid cell via
 //!    [`grid_cells`] — the identical quad descent the IQuad-tree and the
 //!    blocked verifier walk, run lockstep over eight positions at a time —
-//!    and per-cell counts are summed. The count pass chunks across threads
-//!    ([`map_chunks`]) and merges per-key `u64` sums, so the aggregate is
-//!    independent of the chunking.
-//! 4. **Sweep.** Candidate window anchors are the non-empty cells and
-//!    their `s×s` down-left shifts (clamped into the grid), deduplicated
-//!    in `BTreeSet` order. Each anchor's score — positions inside its
-//!    `s×s` cell window — is a row-range sum over a row-grouped sparse
-//!    grid with per-row prefix sums and binary-searched column ranges.
-//! 5. **Rank + dedup.** Anchors sort by (score descending, anchor Morton
-//!    code ascending); a greedy pass emits window centers at least
-//!    `min_separation` apart (Euclidean), stopping at `m`. Equal-score
-//!    ties therefore resolve to the smallest Morton code, and a tied
-//!    anchor too close to an already-accepted one is dropped.
+//!    packed into one row-major key `(row << depth) | column` (at most 32
+//!    bits). The key pass chunks across threads ([`map_chunks`]); an LSD
+//!    radix sort and a run-length pass then turn the keys into
+//!    `(row, column, count)` cells. The sorted key multiset does not
+//!    depend on the chunking, so neither does anything after it.
+//! 4. **Sweep.** A window anchor is a cell whose `s×s` window (clamped
+//!    into the grid) holds a non-empty cell: exactly the non-empty cells'
+//!    clamped `s×s` down-left shifts. Its score — positions inside the
+//!    window — is a separable box sum. A two-pointer row pass emits each
+//!    row's horizontal `s`-sum at every anchor column
+//!    `[max(0, c − s + 1), min(c, grid_n − s)]` of its cells `c`; a column
+//!    pass then merges the ≤ `s` row lists under each anchor row. Anchors
+//!    come out in `(row, column)` order, each with its score, without a
+//!    per-anchor search or an anchor set.
+//! 5. **Rank + dedup.** A max-heap on (score, reversed anchor Morton code)
+//!    is popped in (score descending, Morton ascending) order; a greedy
+//!    pass keeps window centers at least `min_separation` apart
+//!    (Euclidean) and stops at `m` — so only the popped prefix is ever
+//!    ordered. Morton codes are unique per anchor, so the order is total:
+//!    equal-score ties resolve to the smallest code, and a tied anchor too
+//!    close to an already-accepted one is dropped.
 //!
 //! The sweep is a *heuristic at cell resolution* (classic MaxRS grid
 //! approximation): the reported score counts the positions in the `s×s`
@@ -33,11 +41,13 @@
 //! *where* candidates are proposed, never how they are ranked by the
 //! solver.
 
-use mc2ls_core::parallel::{map_chunks, map_items};
+use mc2ls_core::parallel::map_chunks;
 use mc2ls_geo::{grid_cells, Extent, Point, Square};
 use mc2ls_influence::PositionBlocks;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Deepest quad subdivision the sweep will use (`2^16` cells per axis).
 /// Beyond this the grid outresolves any realistic dataset while the
@@ -61,7 +71,7 @@ pub struct SweepConfig {
     /// Minimum Euclidean distance between two emitted window centers.
     /// `0.0` disables the dedup rule entirely.
     pub min_separation: f64,
-    /// Worker threads for the count and score passes. Results are
+    /// Worker threads for the cell-key pass. Results are
     /// bit-identical at any value.
     pub threads: usize,
 }
@@ -150,49 +160,28 @@ pub struct Proposal {
     pub stats: SweepStats,
 }
 
-/// Row-grouped sparse grid: per row (cell `y`), the sorted non-empty cell
-/// `x` coordinates and an exclusive prefix sum of their counts, so any
-/// `[x0, x1)` column-range sum is two binary searches and a subtraction.
-struct SparseRows {
-    rows: BTreeMap<u64, (Vec<u64>, Vec<u64>)>,
+/// Spreads the low 32 bits of `v` onto the even bit positions: the east
+/// (column) half of a Morton code. The north (row) half is `spread(row) << 1`,
+/// and their union is bit-identical to [`mc2ls_geo::morton_code`] of any
+/// point inside the cell, since [`grid_cells`] walks the same descent.
+fn spread(v: u64) -> u64 {
+    let mut v = v & 0xFFFF_FFFF;
+    v = (v | (v << 16)) & 0x0000_FFFF_0000_FFFF;
+    v = (v | (v << 8)) & 0x00FF_00FF_00FF_00FF;
+    v = (v | (v << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    v = (v | (v << 2)) & 0x3333_3333_3333_3333;
+    (v | (v << 1)) & 0x5555_5555_5555_5555
 }
 
-impl SparseRows {
-    /// Builds the rows from `(row, column) → count` in key order.
-    fn build(cells: &BTreeMap<(u64, u64), u64>) -> Self {
-        let mut rows: BTreeMap<u64, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
-        for (&(cy, cx), &n) in cells {
-            let (xs, prefix) = rows.entry(cy).or_insert_with(|| (Vec::new(), vec![0]));
-            // BTreeMap iterates (cy, cx) ascending, so each row's xs
-            // arrive sorted and the prefix extends monotonically.
-            xs.push(cx);
-            let last = *prefix.last().unwrap_or(&0);
-            prefix.push(last + n);
-        }
-        SparseRows { rows }
-    }
-
-    /// Positions inside the `s×s` cell window anchored at `(ax, ay)`.
-    fn window_sum(&self, ax: u64, ay: u64, s: u64) -> u64 {
-        let mut total = 0u64;
-        for (xs, prefix) in self.rows.range(ay..ay.saturating_add(s)).map(|(_, r)| r) {
-            let lo = xs.partition_point(|&x| x < ax);
-            let hi = xs.partition_point(|&x| x < ax.saturating_add(s));
-            total += prefix[hi] - prefix[lo];
-        }
-        total
-    }
-}
-
-/// Interleaves the per-axis cell coordinates of an anchor into its Morton
-/// code — bit-identical to [`mc2ls_geo::morton_code`] of any point inside
-/// the cell, since [`grid_cells`] walks the same descent.
-fn interleave(cx: u64, cy: u64, depth: usize) -> u64 {
-    let mut code = 0u64;
-    for level in (0..depth).rev() {
-        code = (code << 2) | (((cy >> level) & 1) << 1) | ((cx >> level) & 1);
-    }
-    code
+/// The inverse of [`spread`]: gathers the even bits of `v` into the low
+/// 32 bits.
+fn compact(v: u64) -> u64 {
+    let mut v = v & 0x5555_5555_5555_5555;
+    v = (v | (v >> 1)) & 0x3333_3333_3333_3333;
+    v = (v | (v >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
+    v = (v | (v >> 4)) & 0x00FF_00FF_00FF_00FF;
+    v = (v | (v >> 8)) & 0x0000_FFFF_0000_FFFF;
+    (v | (v >> 16)) & 0xFFFF_FFFF
 }
 
 /// [`propose_soa`] over a `Point` slice.
@@ -205,19 +194,12 @@ pub fn propose(points: &[Point], cfg: &SweepConfig) -> Proposal {
 /// [`propose_soa`] over the concatenated positions of one or more SoA
 /// [`PositionBlocks`] — the serve layer's `PROPOSE` verb feeds a loaded
 /// snapshot's per-shard blocks here without touching the original user
-/// trajectories. Shard order only affects the concatenation order, never
-/// the result: the sweep aggregates positions into grid cells first.
+/// trajectories. Each shard's coordinate arrays are read in place. Shard
+/// order only affects the concatenation order, never the result: the
+/// sweep aggregates positions into grid cells first.
 pub fn propose_from_blocks(shards: &[PositionBlocks], cfg: &SweepConfig) -> Proposal {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for blocks in shards {
-        for b in 0..blocks.n_blocks() {
-            let (bx, by) = blocks.block_positions(b);
-            xs.extend_from_slice(bx);
-            ys.extend_from_slice(by);
-        }
-    }
-    propose_soa(&xs, &ys, cfg)
+    let parts: Vec<(&[f64], &[f64])> = shards.iter().map(PositionBlocks::positions).collect();
+    sweep(&parts, cfg)
 }
 
 /// Runs the sweep over parallel coordinate slices (the SoA layout of
@@ -233,20 +215,31 @@ pub fn propose_from_blocks(shards: &[PositionBlocks], cfg: &SweepConfig) -> Prop
 /// is non-finite, or on an invalid config (see [`SweepConfig::new`]).
 pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
     assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
+    sweep(&[(xs, ys)], cfg)
+}
+
+/// The sweep over the concatenation of `parts`, each an equal-length
+/// `(xs, ys)` slice pair.
+fn sweep(parts: &[(&[f64], &[f64])], cfg: &SweepConfig) -> Proposal {
     assert!(cfg.window > 0.0 && cfg.window.is_finite(), "bad window");
     assert!(cfg.m >= 1, "m must be at least 1");
     assert!(cfg.threads >= 1, "need at least one worker thread");
     assert!(
-        xs.iter().chain(ys.iter()).all(|v| v.is_finite()),
+        parts
+            .iter()
+            .all(|(xs, ys)| xs.iter().chain(ys.iter()).all(|v| v.is_finite())),
         "positions must be finite"
     );
-    let n = xs.len();
+    let n: usize = parts.iter().map(|(xs, _)| xs.len()).sum();
     if n == 0 {
         return Proposal::default();
     }
 
     // 1. Root square over the data extent (QuadTree::new convention).
-    let extent: Extent = (0..n).map(|i| Point::new(xs[i], ys[i])).collect();
+    let extent: Extent = parts
+        .iter()
+        .flat_map(|(xs, ys)| xs.iter().zip(ys.iter()).map(|(&x, &y)| Point::new(x, y)))
+        .collect();
     // lint:allow(panic-path): n >= 1 guarantees the extent is non-empty
     let rect = extent.rect().expect("non-empty extent");
     let side = rect.width().max(rect.height()).max(f64::MIN_POSITIVE);
@@ -262,71 +255,78 @@ pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
     }
     let grid_n = 1u64 << depth;
     let s = ((cfg.window / cell).ceil() as u64).clamp(1, grid_n);
-
-    // 3. Per-cell counts, keyed (row, column): chunked across threads,
-    //    merged by per-key sums — order-independent, so bit-identical at
-    //    any thread count.
-    let partials = map_chunks(n, cfg.threads, |range| {
-        let mut m: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        let mut cells = Vec::with_capacity(CELL_BATCH);
-        let batches = xs[range.clone()]
-            .chunks(CELL_BATCH)
-            .zip(ys[range].chunks(CELL_BATCH));
-        for (bx, by) in batches {
-            grid_cells(&root, depth, bx, by, &mut cells);
-            for &(cx, cy) in &cells {
-                *m.entry((cy, cx)).or_insert(0) += 1;
-            }
-        }
-        m
-    });
-    let mut cells: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for partial in partials {
-        for (key, count) in partial {
-            *cells.entry(key).or_insert(0) += count;
-        }
-    }
-    let nonempty_cells = cells.len() as u64;
-
-    // 4. Anchors: every non-empty cell and its s×s down-left shifts,
-    //    clamped so the window stays inside the grid. BTreeSet order makes
-    //    the enumeration (and thus map_items chunking) deterministic.
     let max_anchor = grid_n - s;
-    let mut anchor_set: BTreeSet<(u64, u64)> = BTreeSet::new();
-    for &(cy, cx) in cells.keys() {
-        for dy in 0..s {
-            for dx in 0..s {
-                let ax = cx.saturating_sub(dx).min(max_anchor);
-                let ay = cy.saturating_sub(dy).min(max_anchor);
-                anchor_set.insert((ay, ax));
-            }
-        }
-    }
-    let anchors: Vec<(u64, u64)> = anchor_set.into_iter().collect();
 
-    let n_anchors = anchors.len() as u64;
-    let rows = SparseRows::build(&cells);
-    let scores: Vec<u64> = map_items(anchors.len(), cfg.threads, |i| {
-        let (ay, ax) = anchors[i];
-        rows.window_sum(ax, ay, s)
+    // 3. Per-cell counts: radix-sort the row-major cell keys and
+    //    run-length them. The sorted multiset is the same however the key
+    //    pass was chunked, so the counts are too.
+    let mut keys = cell_keys(parts, n, &root, depth, cfg.threads);
+    radix_sort(&mut keys, 2 * depth);
+    let mut rows: Vec<u64> = Vec::new();
+    let mut row_starts: Vec<usize> = Vec::new();
+    let mut cols: Vec<u64> = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    for run in keys.chunk_by(|a, b| a == b) {
+        let key = u64::from(run[0]);
+        let row = key >> depth;
+        if rows.last() != Some(&row) {
+            rows.push(row);
+            row_starts.push(cols.len());
+        }
+        cols.push(key & (grid_n - 1));
+        counts.push(run.len() as u64);
+    }
+    row_starts.push(cols.len());
+    let nonempty_cells = cols.len() as u64;
+
+    // 4. Separable s×s box sum. Row pass: each row's horizontal s-sums at
+    //    its anchor columns. Column pass: per anchor row, merge the ≤ s
+    //    row lists under it. Anchors come out in (row, column) order.
+    let mut row_sums: Vec<(u64, u64)> = Vec::new();
+    let mut sum_starts: Vec<usize> = vec![0];
+    for w in row_starts.windows(2) {
+        let counts = &counts[w[0]..w[1]];
+        for_each_span(&cols[w[0]..w[1]], s, max_anchor, |ax, span| {
+            row_sums.push((ax, counts[span].iter().sum()));
+        });
+        sum_starts.push(row_sums.len());
+    }
+    let mut ranked: Vec<(u64, Reverse<u64>)> = Vec::new();
+    let mut heads: Vec<Range<usize>> = Vec::new();
+    for_each_span(&rows, s, max_anchor, |ay, span| {
+        let north = spread(ay) << 1;
+        heads.clear();
+        heads.extend(span.map(|r| sum_starts[r]..sum_starts[r + 1]));
+        while let Some(ax) = heads
+            .iter()
+            .filter(|h| h.start < h.end)
+            .map(|h| row_sums[h.start].0)
+            .min()
+        {
+            let mut score = 0u64;
+            for h in heads.iter_mut() {
+                if h.start < h.end && row_sums[h.start].0 == ax {
+                    score += row_sums[h.start].1;
+                    h.start += 1;
+                }
+            }
+            ranked.push((score, Reverse(north | spread(ax))));
+        }
     });
+    let n_anchors = ranked.len() as u64;
 
     // 5. Rank by (score desc, Morton asc) — the Morton key is unique per
-    //    anchor, so the order is total — then greedily keep centers at
-    //    least min_separation apart.
-    let mut ranked: Vec<(u64, u64, u64, u64)> = anchors
-        .iter()
-        .zip(scores.iter())
-        .map(|(&(ay, ax), &score)| (score, interleave(ax, ay, depth), ax, ay))
-        .collect();
-    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
+    //    anchor, so the order is total — popping a max-heap only until m
+    //    centers at least min_separation apart are kept.
+    let mut heap = BinaryHeap::from(ranked);
     let half_span = s as f64 * 0.5;
-    let mut sites: Vec<CandidateSite> = Vec::with_capacity(cfg.m);
-    for (score, anchor, ax, ay) in ranked {
-        if sites.len() == cfg.m {
+    // `m` may arrive off the wire unbounded; at most one site per anchor.
+    let mut sites: Vec<CandidateSite> = Vec::with_capacity(cfg.m.min(heap.len()));
+    while sites.len() < cfg.m {
+        let Some((score, Reverse(anchor))) = heap.pop() else {
             break;
-        }
+        };
+        let (ax, ay) = (compact(anchor), compact(anchor >> 1));
         let center = Point::new(
             root.origin.x + (ax as f64 + half_span) * cell,
             root.origin.y + (ay as f64 + half_span) * cell,
@@ -356,6 +356,99 @@ pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
     }
 }
 
+/// Row-major cell keys `(row << depth) | column` of every position, in
+/// input order. Each part's pass chunks across `threads`.
+fn cell_keys(
+    parts: &[(&[f64], &[f64])],
+    n: usize,
+    root: &Square,
+    depth: usize,
+    threads: usize,
+) -> Vec<u32> {
+    let mut keys = Vec::with_capacity(n);
+    for &(xs, ys) in parts {
+        let chunks = map_chunks(xs.len(), threads, |range| {
+            let mut chunk = Vec::with_capacity(range.len());
+            let mut cells = Vec::with_capacity(CELL_BATCH);
+            let batches = xs[range.clone()]
+                .chunks(CELL_BATCH)
+                .zip(ys[range].chunks(CELL_BATCH));
+            for (bx, by) in batches {
+                grid_cells(root, depth, bx, by, &mut cells);
+                // lint:allow(narrowing-cast): row and column are below 2^depth <= 2^16, so a key fits 32 bits
+                chunk.extend(cells.iter().map(|&(cx, cy)| ((cy << depth) | cx) as u32));
+            }
+            chunk
+        });
+        for chunk in chunks {
+            keys.extend_from_slice(&chunk);
+        }
+    }
+    keys
+}
+
+/// Sorts `keys`, all below `2^bits`, ascending: an LSD radix sort in as
+/// few passes of at most 11 bits as cover `bits`. One read counts every
+/// pass's digits; a pass whose digit is the same for every key is skipped.
+fn radix_sort(keys: &mut Vec<u32>, bits: usize) {
+    let passes = bits.div_ceil(11);
+    if passes == 0 {
+        return;
+    }
+    let width = bits.div_ceil(passes);
+    let buckets = 1usize << width;
+    let digit = |k: u32, pass: usize| ((k >> (pass * width)) as usize) & (buckets - 1);
+    let mut offsets = vec![0usize; passes * buckets];
+    for &k in keys.iter() {
+        for pass in 0..passes {
+            offsets[pass * buckets + digit(k, pass)] += 1;
+        }
+    }
+    let mut scratch = vec![0u32; keys.len()];
+    for (pass, offsets) in offsets.chunks_exact_mut(buckets).enumerate() {
+        if offsets.contains(&keys.len()) {
+            continue;
+        }
+        let mut total = 0;
+        for slot in offsets.iter_mut() {
+            (*slot, total) = (total, total + *slot);
+        }
+        for &k in keys.iter() {
+            let slot = &mut offsets[digit(k, pass)];
+            scratch[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+/// Visits, ascending, every anchor `a ≤ max_anchor` whose span
+/// `[a, a + s)` holds one of the strictly ascending `coords`, with the
+/// index range of the coords inside that span. These anchors are exactly
+/// the clamped down shifts `min(c − d, max_anchor)` (saturating at 0,
+/// `d < s`) of the coords: one axis of the sweep's anchor set.
+fn for_each_span(
+    coords: &[u64],
+    s: u64,
+    max_anchor: u64,
+    mut visit: impl FnMut(u64, Range<usize>),
+) {
+    let (mut next, mut lo, mut hi) = (0u64, 0usize, 0usize);
+    for &c in coords {
+        let last = c.min(max_anchor);
+        for a in c.saturating_sub(s - 1).max(next)..=last {
+            while coords[lo] < a {
+                lo += 1;
+            }
+            while hi < coords.len() && coords[hi] < a + s {
+                hi += 1;
+            }
+            visit(a, lo..hi);
+        }
+        next = last + 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,40 +463,36 @@ mod tests {
             Point::new(1.0, 6.0),
             Point::new(0.999, 6.001),
         ] {
-            for depth in [1usize, 4, 7] {
+            for depth in [1usize, 4, 7, MAX_GRID_DEPTH] {
                 let (cx, cy) = grid_coords(&root, depth, &p);
-                assert_eq!(
-                    interleave(cx, cy, depth),
-                    morton_code(&root, depth, &p),
-                    "{p:?} depth {depth}"
-                );
+                let code = spread(cx) | (spread(cy) << 1);
+                assert_eq!(code, morton_code(&root, depth, &p), "{p:?} depth {depth}");
+                assert_eq!((compact(code), compact(code >> 1)), (cx, cy), "{p:?}");
             }
         }
     }
 
     #[test]
-    fn sparse_rows_window_sums_match_a_dense_recount() {
-        // A tiny 8×8 grid with a few occupied cells.
-        let mut cells: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        for &(cy, cx, n) in &[(0, 0, 3), (0, 5, 2), (2, 1, 7), (3, 3, 1), (7, 7, 4)] {
-            cells.insert((cy, cx), n);
-        }
-        let rows = SparseRows::build(&cells);
-        for s in [1u64, 2, 3] {
-            for ay in 0..8 {
-                for ax in 0..8 {
-                    let dense: u64 = cells
-                        .iter()
-                        .filter(|(&(cy, cx), _)| cx >= ax && cx < ax + s && cy >= ay && cy < ay + s)
-                        .map(|(_, &n)| n)
-                        .sum();
-                    assert_eq!(
-                        rows.window_sum(ax, ay, s),
-                        dense,
-                        "anchor ({ax},{ay}) s={s}"
-                    );
-                }
-            }
+    fn radix_sort_matches_a_comparison_sort() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for bits in [0usize, 1, 7, 11, 12, 20, 22, 23, 32] {
+            let mask = if bits == 32 {
+                u32::MAX
+            } else {
+                (1u32 << bits) - 1
+            };
+            let mut keys: Vec<u32> = (0..500)
+                .map(|_| {
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (rng >> 32) as u32 & mask
+                })
+                .collect();
+            let mut want = keys.clone();
+            want.sort_unstable();
+            radix_sort(&mut keys, bits);
+            assert_eq!(keys, want, "bits {bits}");
         }
     }
 

@@ -1,10 +1,13 @@
 //! Edge-case matrix of the MaxRS-style sweep: empty input, all-coincident
 //! positions, a window dwarfing the data extent, min-separation tie
-//! handling (smallest Morton code wins), and bit-determinism at any
-//! thread count.
+//! handling (smallest Morton code wins), bit-determinism at any thread
+//! count, and a property test against a dense brute-force reference.
 
-use mc2ls_candgen::{propose, propose_soa, CandidateSite, SweepConfig};
-use mc2ls_geo::Point;
+use mc2ls_candgen::{
+    propose, propose_soa, CandidateSite, Proposal, SweepConfig, SweepStats, MAX_GRID_DEPTH,
+};
+use mc2ls_geo::{grid_coords, Extent, Point, Square};
+use proptest::prelude::*;
 use rand::prelude::*;
 
 fn cluster(center: (f64, f64), n: usize, spread: f64, rng: &mut StdRng) -> Vec<Point> {
@@ -198,4 +201,169 @@ fn zero_window_is_rejected() {
 #[should_panic(expected = "m must be at least 1")]
 fn zero_m_is_rejected() {
     SweepConfig::new(1.0, 0);
+}
+
+/// Dense brute-force reference of the sweep: each position's cell from
+/// `grid_coords`, a dense count grid, the anchor set as every clamped
+/// `s×s` down-left shift of a non-empty cell, dense window sums, a full
+/// sort by (score desc, Morton asc), then the greedy separation rule.
+/// Meant for grids of at most a few thousand cells.
+fn dense_reference(points: &[Point], cfg: &SweepConfig) -> Proposal {
+    if points.is_empty() {
+        return Proposal::default();
+    }
+    let extent: Extent = points.iter().copied().collect();
+    let rect = extent.rect().expect("non-empty input");
+    let side = rect.width().max(rect.height()).max(f64::MIN_POSITIVE);
+    let root = Square::new(rect.min, side);
+    let mut depth = 0usize;
+    let mut cell = side;
+    while depth < MAX_GRID_DEPTH && cell > cfg.window * 0.5 {
+        depth += 1;
+        cell *= 0.5;
+    }
+    let grid_n = 1usize << depth;
+    let s = ((cfg.window / cell).ceil() as usize).clamp(1, grid_n);
+
+    let mut counts = vec![0u64; grid_n * grid_n];
+    for p in points {
+        let (cx, cy) = grid_coords(&root, depth, p);
+        counts[cy as usize * grid_n + cx as usize] += 1;
+    }
+    let max_anchor = grid_n - s;
+    let mut is_anchor = vec![false; grid_n * grid_n];
+    for cy in 0..grid_n {
+        for cx in 0..grid_n {
+            if counts[cy * grid_n + cx] == 0 {
+                continue;
+            }
+            for dy in 0..s {
+                for dx in 0..s {
+                    let ax = cx.saturating_sub(dx).min(max_anchor);
+                    let ay = cy.saturating_sub(dy).min(max_anchor);
+                    is_anchor[ay * grid_n + ax] = true;
+                }
+            }
+        }
+    }
+    let morton = |ax: usize, ay: usize| {
+        (0..depth).fold(0u64, |code, level| {
+            code | (((ax >> level) & 1) as u64) << (2 * level)
+                | (((ay >> level) & 1) as u64) << (2 * level + 1)
+        })
+    };
+    let mut ranked = Vec::new();
+    for ay in 0..grid_n {
+        for ax in 0..grid_n {
+            if is_anchor[ay * grid_n + ax] {
+                let score: u64 = (ay..ay + s)
+                    .flat_map(|y| (ax..ax + s).map(move |x| (x, y)))
+                    .map(|(x, y)| counts[y * grid_n + x])
+                    .sum();
+                ranked.push((score, morton(ax, ay), ax, ay));
+            }
+        }
+    }
+    let anchors = ranked.len() as u64;
+    ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+
+    let half_span = s as f64 * 0.5;
+    let mut sites: Vec<CandidateSite> = Vec::new();
+    for (score, anchor, ax, ay) in ranked {
+        if sites.len() == cfg.m {
+            break;
+        }
+        let center = Point::new(
+            root.origin.x + (ax as f64 + half_span) * cell,
+            root.origin.y + (ay as f64 + half_span) * cell,
+        );
+        if sites
+            .iter()
+            .all(|site| site.center.distance(&center) >= cfg.min_separation)
+        {
+            sites.push(CandidateSite {
+                center,
+                score,
+                anchor,
+            });
+        }
+    }
+    Proposal {
+        sites,
+        stats: SweepStats {
+            n_positions: points.len() as u64,
+            depth: depth as u64,
+            cell,
+            window_cells: s as u64,
+            nonempty_cells: counts.iter().filter(|&&n| n > 0).count() as u64,
+            anchors,
+        },
+    }
+}
+
+/// Positions on the lattice points `cells` of pitch `q`, so duplicates,
+/// equal-score ties and positions on the extent's max edge are common. `shape` 4
+/// flattens the set onto one row, 5 onto one column, 6 onto one point;
+/// the other shapes keep both axes.
+fn lattice_points(cells: &[(u32, u32)], q: f64, shape: u8) -> Vec<Point> {
+    cells
+        .iter()
+        .map(|&(i, j)| match shape {
+            4 => Point::new(i as f64 * q, -2.0),
+            5 => Point::new(5.0, j as f64 * q),
+            6 => Point::new(1.5, 1.5),
+            _ => Point::new(i as f64 * q - 3.0, j as f64 * q + 1.0),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `propose_soa` equals the dense reference bit for bit: sites (center
+    /// bits, score, anchor) and every `SweepStats` field.
+    #[test]
+    fn propose_soa_matches_a_dense_reference(
+        cells in prop::collection::vec((0u32..12, 0u32..12), 1..80),
+        qi in 0usize..4,
+        shape in 0u8..7,
+        depth in 0u32..6,
+        frac in 2.0f64..4.0,
+        wide in any::<bool>(),
+        mi in 0usize..6,
+        sep_kind in 0u8..4,
+        threads in 1usize..4,
+    ) {
+        let q = [0.25, 0.5, 1.0, 0.3][qi];
+        let m = [1usize, 2, 3, 7, 20, 1 << 20][mi];
+        let points = lattice_points(&cells, q, shape);
+        let extent: Extent = points.iter().copied().collect();
+        let rect = extent.rect().expect("non-empty");
+        let side = rect.width().max(rect.height()).max(f64::MIN_POSITIVE);
+        // frac·side/2^depth lands the depth rule on `depth` with a window
+        // span of 2–4 cells; `wide` takes s = 1 at depth 0 instead.
+        let window = if wide { 2.5 * side } else { frac * side / (1u64 << depth) as f64 };
+        let sep = match sep_kind {
+            0 => window * 0.5,
+            1 => 0.0,
+            2 => 10.0 * side,
+            _ => window * 1.5,
+        };
+        let cfg = SweepConfig::new(window, m)
+            .with_min_separation(sep)
+            .with_threads(threads);
+        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
+        let got = propose_soa(&xs, &ys, &cfg);
+        let want = dense_reference(&points, &cfg);
+        prop_assert_eq!(got.stats.cell.to_bits(), want.stats.cell.to_bits());
+        prop_assert_eq!(got.stats, want.stats);
+        prop_assert_eq!(got.sites.len(), want.sites.len());
+        for (i, (a, b)) in got.sites.iter().zip(&want.sites).enumerate() {
+            prop_assert_eq!(a.center.x.to_bits(), b.center.x.to_bits(), "site {} x", i);
+            prop_assert_eq!(a.center.y.to_bits(), b.center.y.to_bits(), "site {} y", i);
+            prop_assert_eq!(a.score, b.score, "site {} score", i);
+            prop_assert_eq!(a.anchor, b.anchor, "site {} anchor", i);
+        }
+    }
 }

@@ -296,6 +296,14 @@ impl PositionBlocks {
         (&self.xs[range.clone()], &self.ys[range])
     }
 
+    /// Every position's coordinates as the flat SoA arrays: the blocks'
+    /// [`block_positions`](Self::block_positions) slices, concatenated in
+    /// block order (the block offsets tile both arrays).
+    #[inline]
+    pub fn positions(&self) -> (&[f64], &[f64]) {
+        (&self.xs, &self.ys)
+    }
+
     /// Structural sanitizer: checks the SoA/offset invariants the blocked
     /// kernel relies on. Always callable; the body compiles away in
     /// release builds.
@@ -1049,6 +1057,13 @@ mod tests {
                 }
             }
         }
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for b in 0..blocks.n_blocks() {
+            let (bx, by) = blocks.block_positions(b);
+            xs.extend_from_slice(bx);
+            ys.extend_from_slice(by);
+        }
+        assert_eq!(blocks.positions(), (&xs[..], &ys[..]));
     }
 
     #[test]

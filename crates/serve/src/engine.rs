@@ -712,6 +712,23 @@ mod tests {
         assert!(engine.propose(&req(1.0, 3, None)).is_ok());
     }
 
+    /// A site count far beyond what the allocator could reserve is a valid
+    /// request: the sweep never emits more sites than it scored anchors.
+    #[test]
+    fn propose_with_a_huge_site_count_returns_every_separated_anchor() {
+        let problem = random_problem(53, 30, 6);
+        let engine = engine_for(&problem, 1, 2);
+        let proposal = engine
+            .propose(&ProposeRequest {
+                window: 2.0,
+                m: 1 << 40,
+                min_separation: None,
+            })
+            .expect("huge m is answered");
+        assert!(!proposal.sites.is_empty());
+        assert!(proposal.sites.len() as u64 <= proposal.stats.anchors);
+    }
+
     /// Two engines serve the same epoch: identical META, shard count,
     /// answers (ids, gain bits, deterministic stats) and proposals.
     fn assert_same_epoch(a: &QueryEngine, b: &QueryEngine, problem: &Problem<Sigmoid>) {

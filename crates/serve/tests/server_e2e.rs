@@ -383,6 +383,31 @@ fn propose_serves_the_candidate_sweep_from_the_snapshot() {
     server.shutdown();
 }
 
+/// A PROPOSE for more sites than the allocator could ever reserve is
+/// answered with every separated anchor, and the server stays up: a later
+/// STATS is still answered, on the same connection and on a new one.
+#[test]
+fn propose_with_a_huge_site_count_keeps_the_server_up() {
+    let problem = random_problem(84, 40, 8);
+    let server = start_server(&problem, ServerConfig::default());
+    let mut client = connect(&server);
+    let proposal = client
+        .propose(&mc2ls_serve::ProposeRequest {
+            window: 2.0,
+            m: 1_000_000_000_000,
+            min_separation: None,
+        })
+        .expect("a huge site count is answered");
+    assert!(!proposal.sites.is_empty());
+    assert!(proposal.sites.len() as u64 <= proposal.stats.anchors);
+
+    let stats = client.stats().expect("STATS on the same connection");
+    assert!(stats.requests >= 1);
+    drop(client);
+    connect(&server).stats().expect("STATS on a new connection");
+    server.shutdown();
+}
+
 /// A client-sent Shutdown stops the server; `join` returns once every
 /// thread (acceptor + workers) has drained and exited.
 #[test]
