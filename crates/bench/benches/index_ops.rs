@@ -1,6 +1,5 @@
 //! Index-operation micro-benchmarks beyond Table II: range-query and
-//! nearest-query throughput of every index, IQuad-tree traversal, and the
-//! streaming insert path.
+//! nearest-query throughput of every index, and IQuad-tree traversal.
 
 #[path = "common.rs"]
 mod common;
@@ -56,10 +55,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| kd.nearest(&probe))
     });
 
-    // IQuad-tree traverse (cold cache each iteration: rebuild is too slow,
-    // so probe rotating leaves to defeat the per-leaf cache).
+    // IQuad-tree traverse over 64 rotating probes with one scratch, as a
+    // solve worker holds: after the first pass every probe's leaf has its
+    // Omega_vrf memoised, so this times the IS lookups plus the memo hit.
     let pf = Sigmoid::paper_default();
-    let mut iqt = IQuadTree::build(&dataset.users, &pf, 0.7, 2.0);
+    let iqt = IQuadTree::build(&dataset.users, &pf, 0.7, 2.0);
+    let mut scratch = iqt.scratch();
     let probes: Vec<Point> = (0..64)
         .map(|i| {
             Point::new(
@@ -72,19 +73,8 @@ fn bench(c: &mut Criterion) {
     group.bench_function("iqt_traverse", |b| {
         b.iter(|| {
             cursor = (cursor + 1) % probes.len();
-            iqt.traverse(&probes[cursor])
+            iqt.traverse(&probes[cursor], &mut scratch)
         })
-    });
-
-    // Streaming insert of one median-size user.
-    let template = dataset
-        .users
-        .iter()
-        .min_by_key(|u| u.len().abs_diff(20))
-        .expect("non-empty dataset")
-        .clone();
-    group.bench_function("iqt_insert_user", |b| {
-        b.iter(|| iqt.insert_user(&template, &pf, 0.7).unwrap())
     });
 
     group.finish();

@@ -89,10 +89,12 @@ pub(crate) fn ms(d: std::time::Duration) -> serde_json::Value {
     serde_json::json!((d.as_secs_f64() * 100_000.0).round() / 100.0)
 }
 
-/// Runs every paper method on `problem` and appends `<label>_ms` columns
-/// (median over `reps` repetitions); asserts all methods return equivalent
-/// solutions along the way (the paper: "all the algorithms achieve
-/// identical k result candidates").
+/// Runs every paper method on `problem` and appends, per method, the
+/// median over `reps` repetitions of its total (`<label>_ms`) and of its
+/// indexing, pruning and verification phases (`<label>_index_ms`,
+/// `<label>_prune_ms`, `<label>_verify_ms`); asserts all methods return
+/// equivalent solutions along the way (the paper: "all the algorithms
+/// achieve identical k result candidates").
 pub(crate) fn method_times_row(
     base: crate::RowBuilder,
     problem: &mc2ls::prelude::Problem,
@@ -103,15 +105,27 @@ pub(crate) fn method_times_row(
     let mut r = base;
     let mut reference: Option<Solution> = None;
     for (method, label) in crate::paper_methods() {
-        let mut times: Vec<std::time::Duration> = Vec::with_capacity(reps);
+        let mut phases: [Vec<std::time::Duration>; 4] = Default::default();
         let mut last = None;
         for _ in 0..reps {
             let report = solve(problem, method);
-            times.push(report.times.total());
+            let t = report.times;
+            for (runs, d) in
+                phases
+                    .iter_mut()
+                    .zip([t.total(), t.indexing, t.pruning, t.verification])
+            {
+                runs.push(d);
+            }
             last = Some(report.solution);
         }
-        times.sort_unstable();
-        r = r.set(format!("{label}_ms"), ms(times[times.len() / 2]));
+        for (runs, suffix) in phases
+            .iter_mut()
+            .zip(["ms", "index_ms", "prune_ms", "verify_ms"])
+        {
+            runs.sort_unstable();
+            r = r.set(format!("{label}_{suffix}"), ms(runs[runs.len() / 2]));
+        }
         let solution = last.expect("reps >= 1");
         match &reference {
             None => reference = Some(solution),

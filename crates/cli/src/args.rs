@@ -30,7 +30,8 @@ commands:
   snapshot   save --preset P | --data FILE [--scale S] [--candidates N]
              [--facilities M] [-k K] [--tau T] [--block-size auto|plain|B]
              [--model cumulative|logit] [--candidates-file FILE]
-             [--threads T] [--shards N] [--site-seed N] --out FILE.mc2s
+             [--threads T] [--shards N] [--site-seed N]
+             [--leaf-diagonal D] --out FILE.mc2s
              load --file FILE.mc2s  (verify + print metadata)
              diff --base FILE.mc2s --target FILE.mc2s --out FILE.mc2d
   serve      --snapshot FILE.mc2s [--addr HOST:PORT] [--workers N]

@@ -383,6 +383,7 @@ fn snapshot_save<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
         return Err(Box::new(ArgError::BadValue("shards".into(), "0".into())));
     }
     let (problem, name) = problem_from_flags(parsed)?;
+    check_leaf_diagonal(parsed, &problem, leaf_diagonal)?;
     let (snapshot, stats) =
         mc2ls_serve::Snapshot::build_sharded(&name, &problem, leaf_diagonal, threads, shards);
     let bytes = snapshot.to_bytes();
@@ -407,6 +408,23 @@ fn snapshot_save<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     )?;
     writeln!(out, "wrote {} bytes to {path}", bytes.len())?;
     Ok(())
+}
+
+/// `--leaf-diagonal` must be finite and positive, and need no more levels
+/// over the instance's extent than the IQuad-tree's Morton codes hold.
+fn check_leaf_diagonal(
+    parsed: &Parsed,
+    problem: &Problem<Sigmoid>,
+    leaf_diagonal: f64,
+) -> Result<(), ArgError> {
+    if leaf_diagonal.is_finite()
+        && leaf_diagonal > 0.0
+        && IQuadTree::depth_for(&problem.users, leaf_diagonal) <= IQuadTree::MAX_DEPTH
+    {
+        return Ok(());
+    }
+    let raw = parsed.get("leaf-diagonal").unwrap_or_default();
+    Err(ArgError::BadValue("leaf-diagonal".into(), raw.into()))
 }
 
 fn snapshot_load<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
@@ -476,6 +494,7 @@ fn serve_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
             return Err(Box::new(ArgError::BadValue("shards".into(), "0".into())));
         }
         let (problem, name) = problem_from_flags(parsed)?;
+        check_leaf_diagonal(parsed, &problem, leaf_diagonal)?;
         let (live, snapshot, _prune) =
             mc2ls_serve::LiveUpdater::new(&name, &problem, leaf_diagonal, threads, shards);
         let engine = mc2ls_serve::QueryEngine::new(snapshot, threads);
@@ -772,6 +791,30 @@ mod tests {
         let dir = std::env::temp_dir().join("mc2ls-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn a_bad_leaf_diagonal_is_a_bad_value_on_save_and_live_serve() {
+        let instance = "--preset new-york --scale 0.05 --candidates 10 --facilities 10 -k 3";
+        let out_file = tmp("bad-leaf.mc2s");
+        let _ = std::fs::remove_file(&out_file);
+        for leaf in ["0", "-1", "NaN", "1e-300", "inf"] {
+            for command in [
+                format!("snapshot save {instance} --leaf-diagonal {leaf} --out {out_file}"),
+                format!("serve --live {instance} --leaf-diagonal {leaf} --addr 127.0.0.1:0"),
+            ] {
+                let (code, out) = call(&command);
+                assert_eq!(code, 1, "{command}: {out}");
+                assert!(
+                    out.contains(&format!("bad value '{leaf}' for --leaf-diagonal")),
+                    "{command}: {out}"
+                );
+            }
+        }
+        assert!(
+            !std::path::Path::new(&out_file).exists(),
+            "nothing is written"
+        );
     }
 
     #[test]

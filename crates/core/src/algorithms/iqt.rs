@@ -87,7 +87,7 @@ pub fn influence_sets_parallel<PF: ProbabilityFunction>(
     let outcome_chunks = map_chunks(n_abstract, threads, |range| {
         let mut scratch = iqt.scratch();
         range
-            .map(|i| iqt.traverse_shared(&points[i], &mut scratch))
+            .map(|i| iqt.traverse(&points[i], &mut scratch))
             .collect::<Vec<_>>()
     });
     for outcome in outcome_chunks.into_iter().flatten() {

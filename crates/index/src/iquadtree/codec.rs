@@ -1,35 +1,29 @@
 //! Byte codec for [`IQuadTree`] — the `IQTR` section payload of the
 //! `.mc2s` snapshot container.
 //!
-//! The encoding pins the *built* shape of the tree: node squares, levels,
-//! sparse child links (`u32::MAX` = no child), per-user position counts and
-//! leaf position lists, plus the derived scalars (`depth`, `r_max`,
-//! `n_users`, `NIR`, the per-level `⌈η⌉` table). The lazy traversal caches
-//! (`Ω_inf`/`Ω_vrf`) and the dedup stamp are **runtime state** and are not
-//! serialized — a loaded tree starts cold, exactly like a freshly built
-//! one, and re-derives them on first traversal.
+//! The payload is a header — the root square, `depth`, `r_max`, `n_users`,
+//! `NIR` and the per-level `⌈η⌉` table — followed by every position as
+//! `(owner u32, x f64, y f64)` in tree order. The Morton codes and the
+//! `Ω_inf` table are derived state: decoding re-derives the codes with
+//! `morton_codes` and rebuilds `Ω_inf`, so a loaded tree equals the built
+//! one and re-encodes to the same bytes.
 //!
-//! Decoding re-checks every structural invariant the traversal code relies
-//! on (child links strictly forward ⇒ acyclic, levels consistent, user ids
-//! in range, counts consistent with children/points), so a corrupt snapshot
-//! yields a typed [`CodecError`] instead of an out-of-bounds panic or an
-//! infinite recursion.
+//! Decoding re-checks every invariant the traversal code relies on (user
+//! ids in range, every user indexed, `r_max` matching the positions,
+//! positions finite, inside the root square and in `(code, user)` order),
+//! so a corrupt snapshot yields a typed [`CodecError`] instead of a panic
+//! or a silently different tree.
 
-use super::node::IqtNode;
-use super::{IQuadTree, Stamp};
-use mc2ls_geo::{ByteReader, ByteWriter, CodecError, Point, Square};
-
-/// Child-slot sentinel for "no child" (node indices are dense and far
-/// below `u32::MAX`).
-const NO_CHILD: u32 = u32::MAX;
+use super::IQuadTree;
+use mc2ls_geo::{morton_codes, ByteReader, ByteWriter, CodecError, Point, Square};
 
 impl IQuadTree {
     /// Encodes the built tree into the pinned little-endian byte layout
-    /// used by the `.mc2s` snapshot format. Lazy caches are not encoded,
-    /// so the bytes depend only on the indexed data — encoding is
-    /// deterministic across traversal histories.
+    /// used by the `.mc2s` snapshot format. The bytes depend only on the
+    /// indexed data.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(64 + 64 * self.nodes.len());
+        let mut w =
+            ByteWriter::with_capacity(64 + 9 * self.eta_by_level.len() + 20 * self.points.len());
         w.put_f64(self.root_square.origin.x);
         w.put_f64(self.root_square.origin.y);
         w.put_f64(self.root_square.side);
@@ -53,33 +47,17 @@ impl IQuadTree {
                 None => w.put_u8(0),
             }
         }
-        w.put_len(self.nodes.len());
-        for node in &self.nodes {
-            w.put_f64(node.square.origin.x);
-            w.put_f64(node.square.origin.y);
-            w.put_f64(node.square.side);
-            w.put_len(node.level);
-            for child in node.children {
-                w.put_u32(child.unwrap_or(NO_CHILD));
-            }
-            w.put_len(node.counts.len());
-            for &(u, c) in &node.counts {
-                w.put_u32(u);
-                w.put_u32(c);
-            }
-            w.put_len(node.points.len());
-            for &(u, p) in &node.points {
-                w.put_u32(u);
-                w.put_f64(p.x);
-                w.put_f64(p.y);
-            }
+        w.put_len(self.points.len());
+        for (&u, p) in self.owner.iter().zip(&self.points) {
+            w.put_u32(u);
+            w.put_f64(p.x);
+            w.put_f64(p.y);
         }
         w.into_bytes()
     }
 
-    /// Decodes [`IQuadTree::to_bytes`] output, re-checking the structural
-    /// invariants traversal relies on. The loaded tree carries fresh
-    /// (empty) caches and a fresh dedup stamp.
+    /// Decodes [`IQuadTree::to_bytes`] output, re-checking the invariants
+    /// traversal relies on and re-deriving the codes and `Ω_inf`.
     ///
     /// # Errors
     /// [`CodecError::Truncated`]/[`CodecError::BadLength`] on short or
@@ -89,7 +67,7 @@ impl IQuadTree {
         let mut r = ByteReader::new(bytes);
         let root_square = read_square(&mut r)?;
         let depth = read_usize(&mut r, "IQuadTree.depth")?;
-        if depth > 31 {
+        if depth > Self::MAX_DEPTH {
             return Err(CodecError::Invalid("depth exceeds the Morton budget"));
         }
         let r_max = read_usize(&mut r, "IQuadTree.r_max")?;
@@ -118,124 +96,61 @@ impl IQuadTree {
             });
         }
 
-        // 44 bytes = the fixed prefix of a node (square + level + children).
-        let n_nodes = r.get_len("IQuadTree.nodes", 44)?;
-        if n_nodes == 0 {
-            return Err(CodecError::Invalid("tree must have a root node"));
+        // 20 bytes = one (owner, x, y) entry.
+        let n = r.get_len("IQuadTree.positions", 20)?;
+        // Every user holds at least one position, which also bounds the
+        // per-user tables below by the payload size.
+        if n_users > n {
+            return Err(CodecError::Invalid("more users than positions"));
         }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for idx in 0..n_nodes {
-            let square = read_square(&mut r)?;
-            let level = read_usize(&mut r, "IqtNode.level")?;
-            if level > depth {
-                return Err(CodecError::Invalid("node level below the leaf level"));
+        let root = root_square.rect();
+        let mut owner = Vec::with_capacity(n);
+        let mut points = Vec::with_capacity(n);
+        let mut per_user = vec![0usize; n_users];
+        for _ in 0..n {
+            let u = r.get_u32()?;
+            let count = per_user
+                .get_mut(u as usize)
+                .ok_or(CodecError::Invalid("position owner out of range"))?;
+            *count += 1;
+            let p = Point::new(r.get_f64()?, r.get_f64()?);
+            if !(p.x.is_finite() && p.y.is_finite()) {
+                return Err(CodecError::Invalid("position must be finite"));
             }
-            let mut children = [None; 4];
-            for slot in &mut children {
-                let c = r.get_u32()?;
-                if c != NO_CHILD {
-                    // Child links point strictly forward (build order), so
-                    // bounded indices imply an acyclic, finite hierarchy.
-                    if c as usize >= n_nodes || c as usize <= idx {
-                        return Err(CodecError::Invalid("child index out of order"));
-                    }
-                    *slot = Some(c);
-                }
+            if !root.contains(&p) {
+                return Err(CodecError::Invalid("position outside the root square"));
             }
-            let n_counts = r.get_len("IqtNode.counts", 8)?;
-            let mut counts = Vec::with_capacity(n_counts);
-            for _ in 0..n_counts {
-                let u = r.get_u32()?;
-                let c = r.get_u32()?;
-                if u as usize >= n_users {
-                    return Err(CodecError::Invalid("count entry user out of range"));
-                }
-                if c == 0 {
-                    return Err(CodecError::Invalid("zero count entry"));
-                }
-                if counts.last().is_some_and(|&(last, _)| last >= u) {
-                    return Err(CodecError::Invalid("counts not sorted by user id"));
-                }
-                counts.push((u, c));
-            }
-            let n_points = r.get_len("IqtNode.points", 20)?;
-            if level < depth && n_points != 0 {
-                return Err(CodecError::Invalid("inner node stores points"));
-            }
-            let mut points = Vec::with_capacity(n_points);
-            for _ in 0..n_points {
-                let u = r.get_u32()?;
-                if u as usize >= n_users {
-                    return Err(CodecError::Invalid("leaf position user out of range"));
-                }
-                points.push((u, Point::new(r.get_f64()?, r.get_f64()?)));
-            }
-            nodes.push(IqtNode {
-                square,
-                level,
-                children,
-                counts,
-                points,
-                omega_inf: None,
-                omega_vrf: None,
-            });
+            owner.push(u);
+            points.push(p);
         }
         r.expect_end()?;
-
-        // Cross-node pass: child levels step by one, and every node's count
-        // total matches its children (inner) or its stored points (leaf).
-        for node in &nodes {
-            let own_total: u64 = node.counts.iter().map(|&(_, c)| u64::from(c)).sum();
-            if node.level == depth {
-                if !node.is_leaf() {
-                    return Err(CodecError::Invalid("leaf-level node with children"));
-                }
-                if own_total != node.points.len() as u64 {
-                    return Err(CodecError::Invalid("leaf counts disagree with points"));
-                }
-                // Per-user multiplicities must match exactly: traversal
-                // trusts counts for the IS rule and points for NIR.
-                let mut by_user = std::collections::BTreeMap::new();
-                for &(u, _) in &node.points {
-                    *by_user.entry(u).or_insert(0u64) += 1;
-                }
-                if by_user.len() != node.counts.len()
-                    || node
-                        .counts
-                        .iter()
-                        .any(|&(u, c)| by_user.get(&u) != Some(&u64::from(c)))
-                {
-                    return Err(CodecError::Invalid("leaf counts disagree with points"));
-                }
-            } else {
-                let mut child_total = 0u64;
-                for child in node.children.into_iter().flatten() {
-                    let child = &nodes[child as usize];
-                    if child.level != node.level + 1 {
-                        return Err(CodecError::Invalid("child skips a level"));
-                    }
-                    child_total += child.counts.iter().map(|&(_, c)| u64::from(c)).sum::<u64>();
-                }
-                if own_total != child_total {
-                    return Err(CodecError::Invalid("node counts disagree with children"));
-                }
-            }
+        if per_user.contains(&0) {
+            return Err(CodecError::Invalid("user without positions"));
+        }
+        if per_user.iter().copied().max().unwrap_or(0) != r_max {
+            return Err(CodecError::Invalid("r_max disagrees with the positions"));
         }
 
-        Ok(IQuadTree {
-            nodes,
+        let mut codes = Vec::new();
+        morton_codes(&root_square, depth, &points, &mut codes);
+        if (1..n).any(|i| (codes[i - 1], owner[i - 1]) > (codes[i], owner[i])) {
+            return Err(CodecError::Invalid("positions not in (code, user) order"));
+        }
+
+        let mut tree = IQuadTree {
             root_square,
             depth,
             eta_by_level,
             nir,
             r_max,
             n_users,
-            seen: std::sync::Mutex::new(Stamp {
-                mark: vec![0; n_users],
-                epoch: 0,
-            }),
-            last_removed_mbr: None,
-        })
+            codes,
+            owner,
+            points,
+            omega_inf: Vec::new(),
+        };
+        tree.omega_inf = tree.is_rule_table();
+        Ok(tree)
     }
 }
 
@@ -285,34 +200,22 @@ mod tests {
         assert_eq!(loaded.nir(), tree.nir());
         assert_eq!(loaded.r_max(), tree.r_max());
         assert_eq!(loaded.eta_table(), tree.eta_table());
+        assert_eq!(loaded.omega_inf, tree.omega_inf);
         // Re-encoding is bit-identical: the codec pins a canonical layout.
         assert_eq!(loaded.to_bytes(), bytes);
         // Traversal outcomes are identical for probes inside and outside
         // the indexed region.
-        let mut a = tree;
-        let mut b = loaded;
         for v in [
             Point::new(0.2, 0.2),
             Point::new(7.5, 7.5),
             Point::new(15.0, 12.0),
             Point::new(-3.0, -3.0),
         ] {
-            let want = a.traverse(&v);
-            let got = b.traverse(&v);
+            let want = tree.traverse(&v, &mut tree.scratch());
+            let got = loaded.traverse(&v, &mut loaded.scratch());
             assert_eq!(got.influenced, want.influenced, "probe {v:?}");
             assert_eq!(got.to_verify, want.to_verify, "probe {v:?}");
         }
-    }
-
-    #[test]
-    fn encoding_ignores_traversal_caches() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let mut tree = IQuadTree::build(&users, &pf, 0.5, 2.0);
-        let cold = tree.to_bytes();
-        let _ = tree.traverse(&Point::new(0.2, 0.2));
-        let _ = tree.traverse(&Point::new(7.5, 7.5));
-        assert_eq!(tree.to_bytes(), cold, "caches must not leak into bytes");
     }
 
     #[test]
@@ -326,7 +229,7 @@ mod tests {
             })
             .collect();
         let pf = Sigmoid::paper_default();
-        let tree = IQuadTree::build(&users, &pf, 0.5, 2.0);
+        let tree = IQuadTree::build(&users, &pf, 0.5, 0.5);
         let bytes = tree.to_bytes();
         for cut in 0..bytes.len() {
             assert!(IQuadTree::from_bytes(&bytes[..cut]).is_err(), "{cut}");
@@ -334,20 +237,44 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(IQuadTree::from_bytes(&trailing).is_err());
-        // A cycle-forming child index is rejected (slot 0 of the root's
-        // child array lives right after the root's square + level).
-        let mut cyclic = bytes.clone();
-        let mut root_children = 24 + 8 + 8 + 8 + 1; // header up to the NIR flag
-        if tree.nir.is_some() {
-            root_children += 8;
-        }
-        root_children += 8; // eta table length prefix
-        for eta in &tree.eta_by_level {
-            root_children += 1 + if eta.is_some() { 8 } else { 0 };
-        }
-        root_children += 8 + 24 + 8; // node count, root square, root level
-        cyclic[root_children..root_children + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(IQuadTree::from_bytes(&cyclic).is_err());
+
+        // The position entries are the last 20 bytes each.
+        let n = tree.points.len();
+        let first = bytes.len() - 20 * n;
+        let entry = |i: usize| first + 20 * i;
+        let rejects = |edit: &dyn Fn(&mut Vec<u8>), what: &str| {
+            let mut bad = bytes.clone();
+            edit(&mut bad);
+            assert!(
+                matches!(IQuadTree::from_bytes(&bad), Err(CodecError::Invalid(_))),
+                "{what}"
+            );
+        };
+        rejects(
+            &|b| b[entry(0)..entry(0) + 4].copy_from_slice(&99u32.to_le_bytes()),
+            "owner out of range",
+        );
+        rejects(
+            &|b| b[entry(1) + 4..entry(1) + 12].copy_from_slice(&f64::NAN.to_le_bytes()),
+            "non-finite position",
+        );
+        rejects(
+            &|b| b[entry(2) + 12..entry(2) + 20].copy_from_slice(&1e9f64.to_le_bytes()),
+            "position outside the root square",
+        );
+        rejects(
+            &|b| {
+                let (a, z) = (entry(0), entry(n - 1));
+                let last: Vec<u8> = b[z..z + 20].to_vec();
+                b.copy_within(a..a + 20, z);
+                b[a..a + 20].copy_from_slice(&last);
+            },
+            "unsorted positions",
+        );
+        rejects(
+            &|b| b.copy_within(entry(4)..entry(4) + 4, entry(3)),
+            "reassigned owner",
+        );
         // Flipping the depth invalidates the eta table length.
         let mut bad_depth = bytes;
         bad_depth[24] ^= 0xFF;

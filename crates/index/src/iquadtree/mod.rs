@@ -2,8 +2,7 @@
 //! (§V-C) together with its `Traverse` procedure (Algorithm 3).
 //!
 //! The index partitions space into a hierarchy of squares whose leaf
-//! diagonal is the configured `d̂`. Each node stores how many positions of
-//! each user fall inside its square. Two pruning rules read those counts:
+//! diagonal is the configured `d̂`. Two pruning rules read it:
 //!
 //! * **IS rule (Lemma 2)** — a user with at least `⌈η(τ, PF, diag)⌉`
 //!   positions inside a node's square is influenced by *every* abstract
@@ -12,22 +11,31 @@
 //!   square inflated by `NIR = mMR(τ, r_max)` cannot be influenced by any
 //!   facility in the leaf.
 //!
-//! Everything a node learns is cached (`Ω_inf`, `Ω_vrf`), so facilities
-//! sharing a node are handled batch-wise: the second and later facilities
-//! in a node pay one cache lookup instead of a scan.
+//! No node is materialised. The tree is the users' positions in one array,
+//! stably sorted by their depth-`D` Morton code: the node at level `ℓ` with
+//! code prefix `P` is the range of positions whose code starts with `P`, and
+//! its children split that range by the next 2-bit digit. The IS rule's
+//! `Ω_inf` depends only on a node and its level's η, so the build computes
+//! it once, at the levels where `η ≤ r_max` (no user reaches η elsewhere).
+//! Each worker memoises the NIR candidates of the leaves it has seen
+//! (`Ω_vrf`) in its [`TraverseScratch`], so facilities sharing a leaf are
+//! handled batch-wise: the second and later pay one lookup, not a query.
 
 mod codec;
-mod node;
 
-// `morton_codes` lives in `mc2ls_geo`: it performs the same `quadrant_of`
-// descent `traverse` does, so builder and traversal classify boundary
-// positions identically, and it is shared with the blocked verification
-// substrate in `mc2ls-influence`.
-use mc2ls_geo::{morton_codes, Extent, Point, Rect, Square};
+// `morton_code(s)` lives in `mc2ls_geo`: it performs the same `quadrant_of`
+// descent the paper's traversal does, so builder and traversal classify
+// boundary positions identically, and it is shared with the blocked
+// verification substrate in `mc2ls-influence`.
+use mc2ls_geo::{morton_code, morton_codes, Extent, Point, Rect, Square};
 use mc2ls_influence::{eta_count, non_influence_radius, MovingUser, ProbabilityFunction};
-use node::IqtNode;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::setops;
+
+/// Widest digit of the build's LSD radix sort: 2^11 counters stay in L1.
+const RADIX_BITS: usize = 11;
 
 /// The result of traversing the IQuad-tree for one abstract facility.
 #[derive(Debug, Clone, Default)]
@@ -42,16 +50,17 @@ pub struct TraverseOutcome {
     pub to_verify: Vec<u32>,
 }
 
-/// Build/shape statistics of an IQuad-tree.
+/// Shape statistics of an IQuad-tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IqtStats {
-    /// Total number of nodes materialised (sparse: empty squares are not).
+    /// Non-empty squares over every level, root included (the root counts
+    /// even when no position is indexed).
     pub nodes: usize,
-    /// Number of leaf nodes.
+    /// Non-empty leaf-level squares (1 for a tree with no positions).
     pub leaves: usize,
     /// Tree depth (root = level 0; leaves at this level).
     pub depth: usize,
-    /// Total positions stored at leaves.
+    /// Total positions indexed.
     pub positions: usize,
     /// Number of distinct users indexed.
     pub users: usize,
@@ -69,15 +78,14 @@ pub struct IqtStats {
 ///     MovingUser::new(vec![Point::new(0.0, 0.0), Point::new(0.1, 0.1)]),
 ///     MovingUser::new(vec![Point::new(40.0, 40.0), Point::new(40.1, 40.0)]),
 /// ];
-/// let mut tree = IQuadTree::build(&users, &Sigmoid::paper_default(), 0.5, 2.0);
-/// let outcome = tree.traverse(&Point::new(0.05, 0.05));
+/// let tree = IQuadTree::build(&users, &Sigmoid::paper_default(), 0.5, 2.0);
+/// let outcome = tree.traverse(&Point::new(0.05, 0.05), &mut tree.scratch());
 /// // The far-away user is pruned by the NIR rule; only the nearby one
 /// // can possibly be influenced.
 /// assert!(!outcome.to_verify.contains(&1) && !outcome.influenced.contains(&1));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IQuadTree {
-    nodes: Vec<IqtNode>,
     root_square: Square,
     depth: usize,
     /// `⌈η⌉` per level (the paper's attached Hash structure keyed by the
@@ -86,77 +94,55 @@ pub struct IQuadTree {
     nir: Option<f64>,
     r_max: usize,
     n_users: usize,
-    /// Epoch-stamped per-user dedup marks for
-    /// [`IQuadTree::users_with_position_in`] (avoids sorting
-    /// duplicate-laden raw id lists on every NIR query). A `Mutex` (rather
-    /// than a `RefCell`) keeps the tree `Sync`; the shared-traversal path
-    /// never touches it — each worker carries its own [`TraverseScratch`].
-    seen: std::sync::Mutex<Stamp>,
-    /// Extent of the positions deleted by the in-flight
-    /// [`IQuadTree::remove_user`] call (scratch state for its
-    /// cache-invalidation pass).
-    last_removed_mbr: Option<Rect>,
+    /// The depth-`depth` Morton code of every position, ascending: the
+    /// tree order.
+    codes: Vec<u64>,
+    /// The user of every position, in tree order. Within one code, users
+    /// ascend (the sort is stable over user-id order).
+    owner: Vec<u32>,
+    /// Every position, in tree order.
+    points: Vec<Point>,
+    /// `Ω_inf` of every node where the IS rule fires, keyed by
+    /// `(level, code prefix)` in ascending order; each user list is sorted.
+    omega_inf: Vec<((usize, u64), Vec<u32>)>,
 }
 
-impl Clone for IQuadTree {
-    fn clone(&self) -> Self {
-        IQuadTree {
-            nodes: self.nodes.clone(),
-            root_square: self.root_square,
-            depth: self.depth,
-            eta_by_level: self.eta_by_level.clone(),
-            nir: self.nir,
-            r_max: self.r_max,
-            n_users: self.n_users,
-            seen: std::sync::Mutex::new(
-                self.seen
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .clone(),
-            ),
-            last_removed_mbr: self.last_removed_mbr,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct Stamp {
-    mark: Vec<u32>,
-    epoch: u32,
-}
-
-/// Per-worker state for [`IQuadTree::traverse_shared`]: a private dedup
-/// stamp plus memos standing in for the node caches that the `&mut self`
-/// path ([`IQuadTree::traverse`]) writes in place. Because a node's
-/// `Ω_inf`/`Ω_vrf` depend only on the node's square and the (immutable
-/// during a shared phase) indexed positions, memoising per worker instead of
-/// per tree changes *where* results are cached, never *what* they are — the
-/// batch-wise reuse property survives within each worker's chunk.
+/// Per-worker state for [`IQuadTree::traverse`]: a dedup stamp for window
+/// queries and the memo of every leaf's `Ω_vrf` this worker has computed.
+/// `Ω_vrf` depends only on the leaf square and the immutable positions, so
+/// memoising per worker changes *where* a result is cached, never *what*
+/// it is: outcomes are identical for any scratch history.
 #[derive(Debug)]
 pub struct TraverseScratch {
-    stamp: Stamp,
-    /// node index → `Ω_inf` (IS rule result) computed by this worker.
-    omega_inf: std::collections::BTreeMap<u32, Vec<u32>>,
-    /// leaf node index → `Ω_vrf` (NIR window users) computed by this worker.
-    omega_vrf: std::collections::BTreeMap<u32, Vec<u32>>,
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Leaf code → `Ω_vrf` (the users with a position in the leaf square
+    /// inflated by NIR).
+    omega_vrf: BTreeMap<u64, Vec<u32>>,
 }
 
 impl IQuadTree {
+    /// The deepest tree the 64-bit Morton code holds (two bits per level).
+    pub const MAX_DEPTH: usize = 31;
+
     /// Builds the index over `users` for threshold `tau` and probability
     /// function `pf`, with leaf squares of diagonal `leaf_diagonal` km (the
     /// paper's `d̂`, default 2 km in the experiments).
     ///
     /// # Panics
-    /// Panics when `leaf_diagonal ≤ 0`, when `tau ∉ (0, 1)`, or when the
-    /// users' extent needs more than 31 halvings to reach `leaf_diagonal`
-    /// (the Morton-code budget).
+    /// Panics when `leaf_diagonal` is not finite and positive, when
+    /// `tau ∉ (0, 1)`, or when [`IQuadTree::depth_for`] exceeds
+    /// [`IQuadTree::MAX_DEPTH`] (the Morton-code budget).
     pub fn build<PF: ProbabilityFunction + ?Sized>(
         users: &[MovingUser],
         pf: &PF,
         tau: f64,
         leaf_diagonal: f64,
     ) -> Self {
-        assert!(leaf_diagonal > 0.0, "leaf diagonal must be positive");
+        assert!(
+            leaf_diagonal > 0.0 && leaf_diagonal.is_finite(),
+            "leaf diagonal must be positive and finite"
+        );
         assert!(tau > 0.0 && tau < 1.0, "tau must be in (0, 1)");
 
         let r_max = users.iter().map(MovingUser::len).max().unwrap_or(0);
@@ -166,25 +152,17 @@ impl IQuadTree {
             non_influence_radius(pf, tau, r_max)
         };
 
-        // Root square: the padded extent grown to a power-of-two multiple of
-        // the leaf side so all leaves share one exact diagonal.
-        let mut extent = Extent::new();
-        for u in users {
-            extent.add_all(u.positions());
-        }
-        let region = extent
-            .padded_rect(1e-6)
-            .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
-        let leaf_side = leaf_diagonal / std::f64::consts::SQRT_2;
-        let need = region.width().max(region.height()) / leaf_side;
-        let depth = need.log2().ceil().max(0.0) as usize;
+        let (region, depth) = frame(users, leaf_diagonal);
         // Checked before any `1 << depth` below: a deeper tree would
         // overflow both the shifts and the 2·depth-bit Morton code.
         assert!(
-            depth <= 31,
+            depth <= Self::MAX_DEPTH,
             "IQuad-tree depth {depth} exceeds the Morton-code budget; \
              use a larger leaf diagonal"
         );
+        // Root square: the padded extent grown to a power-of-two multiple
+        // of the leaf side so all leaves share one exact diagonal.
+        let leaf_side = leaf_diagonal / std::f64::consts::SQRT_2;
         let root_side = leaf_side * (1u64 << depth) as f64;
         let root_square = Square::new(region.min, root_side);
 
@@ -194,95 +172,94 @@ impl IQuadTree {
             .map(|l| eta_count(pf, tau, root_diag / (1u64 << l) as f64))
             .collect();
 
+        // Key every position in user-id order, then position order. The
+        // radix sort is stable, so equal codes keep that order and the
+        // array comes out in (code, user) order with no tie-break key.
+        let total = users.iter().map(MovingUser::len).sum();
+        let mut points: Vec<Point> = Vec::with_capacity(total);
+        let mut owner_of: Vec<u32> = Vec::with_capacity(total);
+        for (u, id) in users.iter().zip(0u32..) {
+            points.extend_from_slice(u.positions());
+            owner_of.extend(std::iter::repeat_n(id, u.len()));
+        }
+        let mut codes = Vec::new();
+        morton_codes(&root_square, depth, &points, &mut codes);
+        let order = radix_order(&codes, 2 * depth);
+
         let mut tree = IQuadTree {
-            nodes: Vec::new(),
             root_square,
             depth,
             eta_by_level,
             nir,
             r_max,
             n_users: users.len(),
-            seen: std::sync::Mutex::new(Stamp {
-                mark: vec![0; users.len()],
-                epoch: 0,
-            }),
-            last_removed_mbr: None,
+            codes: Vec::with_capacity(total),
+            owner: Vec::with_capacity(total),
+            points: Vec::with_capacity(total),
+            omega_inf: Vec::new(),
         };
-
-        // Morton-order construction: one code per position (computed by the
-        // same quadrant descent `traverse` uses, so builder and traversal
-        // agree bit-for-bit on boundary positions), one global sort, then
-        // every node is a contiguous range. Sorting by (code, user) makes
-        // each leaf range user-sorted, so leaf counts fall out of a
-        // run-length scan and internal counts out of child merges — no
-        // per-node sorting at all.
-        let total: usize = users.iter().map(MovingUser::len).sum();
-        let mut items: Vec<(u64, u32, Point)> = Vec::with_capacity(total);
-        let mut codes: Vec<u64> = Vec::new();
-        for (id, u) in users.iter().enumerate() {
-            morton_codes(&root_square, depth, u.positions(), &mut codes);
-            items.extend(
-                codes
-                    .iter()
-                    .zip(u.positions())
-                    .map(|(&code, &p)| (code, id as u32, p)),
-            );
+        for i in order {
+            let i = i as usize;
+            tree.codes.push(codes[i]);
+            tree.owner.push(owner_of[i]);
+            tree.points.push(points[i]);
         }
-        // Single u128 key (code ≤ 62 bits ‖ user 32 bits) sorts faster than
-        // a lexicographic tuple comparison.
-        items.sort_unstable_by_key(|&(code, user, _)| ((code as u128) << 32) | user as u128);
-        tree.build_range(root_square, 0, &items);
+        tree.omega_inf = tree.is_rule_table();
         tree
     }
 
-    /// Recursively materialises the subtree for `square` at `level` from a
-    /// Morton-contiguous, (code, user)-sorted range. Returns the node index
-    /// (nodes are only created for non-empty squares; the root is created
-    /// even when empty).
-    fn build_range(&mut self, square: Square, level: usize, items: &[(u64, u32, Point)]) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(IqtNode {
-            square,
-            level,
-            children: [None; 4],
-            counts: Vec::new(),
-            points: Vec::new(),
-            omega_inf: None,
-            omega_vrf: None,
-        });
+    /// The depth a tree over `users` needs for leaves of diagonal
+    /// `leaf_diagonal`: the halvings of the users' padded extent down to
+    /// the leaf side. [`IQuadTree::build`] rejects a depth above
+    /// [`IQuadTree::MAX_DEPTH`], so callers taking the diagonal from input
+    /// can check it first. Saturates at `usize::MAX`.
+    pub fn depth_for(users: &[MovingUser], leaf_diagonal: f64) -> usize {
+        frame(users, leaf_diagonal).1
+    }
 
-        if level == self.depth {
-            let mut counts: Vec<(u32, u32)> = Vec::new();
-            for &(_, u, _) in items {
-                match counts.last_mut() {
-                    Some((last, c)) if *last == u => *c += 1,
-                    _ => counts.push((u, 1)),
+    /// `Ω_inf` of every node at every level where `η_ℓ ≤ r_max`: one
+    /// counting pass per such level over its node ranges. A node holding
+    /// fewer than η positions cannot hold a user with η of them.
+    fn is_rule_table(&self) -> Vec<((usize, u64), Vec<u32>)> {
+        let mut table = Vec::new();
+        let mut count = vec![0u32; self.n_users];
+        let mut present: Vec<u32> = Vec::new();
+        for (level, eta) in self.eta_by_level.iter().enumerate() {
+            let Some(eta) = eta.filter(|&e| e <= self.r_max) else {
+                continue;
+            };
+            let shift = 2 * (self.depth - level);
+            let mut start = 0;
+            while start < self.codes.len() {
+                let prefix = self.codes[start] >> shift;
+                let mut end = start + 1;
+                while end < self.codes.len() && self.codes[end] >> shift == prefix {
+                    end += 1;
                 }
+                if end - start >= eta {
+                    for &u in &self.owner[start..end] {
+                        if count[u as usize] == 0 {
+                            present.push(u);
+                        }
+                        count[u as usize] += 1;
+                    }
+                    let mut users: Vec<u32> = present
+                        .iter()
+                        .copied()
+                        .filter(|&u| count[u as usize] as usize >= eta)
+                        .collect();
+                    for u in present.drain(..) {
+                        count[u as usize] = 0;
+                    }
+                    if !users.is_empty() {
+                        users.sort_unstable();
+                        table.push(((level, prefix), users));
+                    }
+                }
+                start = end;
             }
-            let node = &mut self.nodes[idx as usize];
-            node.counts = counts;
-            node.points = items.iter().map(|&(_, u, p)| (u, p)).collect();
-            return idx;
         }
-
-        let shift = 2 * (self.depth - 1 - level);
-        let mut counts: Vec<(u32, u32)> = Vec::new();
-        let mut start = 0usize;
-        for q in 0..4u64 {
-            let len = items[start..].partition_point(|&(code, _, _)| (code >> shift) & 3 <= q);
-            let end = start + len;
-            if end > start {
-                let child =
-                    self.build_range(square.child(q as usize), level + 1, &items[start..end]);
-                self.nodes[idx as usize].children[q as usize] = Some(child);
-                let merged = merge_counts(&counts, &self.nodes[child as usize].counts);
-                counts = merged;
-            }
-            start = end;
-        }
-        debug_assert_eq!(start, items.len());
-        self.nodes[idx as usize].counts = counts;
-        idx
+        table
     }
 
     /// The Non-influence Radius `NIR = mMR(τ, r_max)`; `None` when no user
@@ -302,10 +279,14 @@ impl IQuadTree {
         self.root_square.diagonal() / (1u64 << self.depth) as f64
     }
 
-    /// The indexed root region; [`IQuadTree::insert_user`] only accepts
-    /// positions inside it.
+    /// The indexed root region; a facility outside it gets no IS pruning.
     pub fn root_region(&self) -> Rect {
         self.root_square.rect()
+    }
+
+    /// The root square, whose quad subdivision keys every position.
+    pub fn root_square(&self) -> Square {
+        self.root_square
     }
 
     /// The `⌈η⌉` table per level (index 0 = root). `None` entries mean the
@@ -314,26 +295,40 @@ impl IQuadTree {
         &self.eta_by_level
     }
 
-    /// Shape statistics.
+    /// Shape statistics. Two adjacent codes that first differ at level `ℓ`
+    /// open one new node at each of the levels `ℓ..=depth`, so one pass
+    /// over the codes counts every level's non-empty squares.
     pub fn stats(&self) -> IqtStats {
+        let mut nodes = if self.codes.is_empty() {
+            1
+        } else {
+            self.depth + 1
+        };
+        let mut leaves = 1;
+        for w in self.codes.windows(2) {
+            let diff = w[0] ^ w[1];
+            if diff != 0 {
+                leaves += 1;
+                nodes += (63 - diff.leading_zeros() as usize) / 2 + 1;
+            }
+        }
         IqtStats {
-            nodes: self.nodes.len(),
-            leaves: self.nodes.iter().filter(|n| n.is_leaf()).count(),
+            nodes,
+            leaves,
             depth: self.depth,
-            positions: self.nodes.iter().map(|n| n.points.len()).sum(),
+            positions: self.points.len(),
             users: self.n_users,
         }
     }
 
-    /// Structural sanitizer: checks the node-hierarchy invariants the
-    /// pruning rules rely on. Always callable; the body compiles away in
-    /// release builds.
+    /// Structural sanitizer: checks the invariants the pruning rules rely
+    /// on. Always callable; the body compiles away in release builds.
     ///
     /// # Panics
-    /// Panics (debug builds only) when a child node's square escapes its
-    /// parent's, levels are inconsistent, a count table is unsorted or
-    /// disagrees with the children/points, or a cached `Ω` list is
-    /// malformed.
+    /// Panics (debug builds only) when the arrays disagree in length, a
+    /// code is not its position's Morton code, the positions are not in
+    /// `(code, user)` order, a user id is out of range, or the `Ω_inf`
+    /// table is unsorted or malformed.
     pub fn validate(&self) {
         #[cfg(debug_assertions)]
         {
@@ -342,298 +337,57 @@ impl IQuadTree {
                 self.depth + 1,
                 "one eta entry per level"
             );
-            for (i, node) in self.nodes.iter().enumerate() {
-                assert!(node.level <= self.depth, "node below the leaf level");
+            assert_eq!(self.codes.len(), self.owner.len(), "one owner per code");
+            let mut codes = Vec::new();
+            morton_codes(&self.root_square, self.depth, &self.points, &mut codes);
+            assert_eq!(codes, self.codes, "codes disagree with the positions");
+            assert!(
+                (1..self.codes.len())
+                    .all(|i| (self.codes[i - 1], self.owner[i - 1])
+                        <= (self.codes[i], self.owner[i])),
+                "positions not in (code, user) order"
+            );
+            assert!(
+                self.owner.iter().all(|&u| (u as usize) < self.n_users),
+                "owner out of range"
+            );
+            assert!(
+                self.omega_inf.windows(2).all(|w| w[0].0 < w[1].0),
+                "omega_inf table not sorted by (level, prefix)"
+            );
+            for ((level, _), users) in &self.omega_inf {
+                assert!(*level <= self.depth, "omega_inf entry below the leaf level");
+                assert!(!users.is_empty(), "empty omega_inf entry");
                 assert!(
-                    node.counts.windows(2).all(|w| w[0].0 < w[1].0),
-                    "node {i}: counts not sorted by user id"
+                    users.windows(2).all(|w| w[0] < w[1]),
+                    "omega_inf users not sorted"
                 );
-                for &(u, c) in &node.counts {
-                    assert!((u as usize) < self.n_users, "node {i}: user out of range");
-                    assert!(c > 0, "node {i}: zero count entry");
-                }
-                if node.level == self.depth {
-                    assert!(node.is_leaf(), "leaf-level node with children");
-                    // Leaf position multiset must reproduce the counts.
-                    let total: u32 = node.counts.iter().map(|&(_, c)| c).sum();
-                    assert_eq!(
-                        total as usize,
-                        node.points.len(),
-                        "node {i}: counts disagree with stored points"
-                    );
-                } else {
-                    assert!(node.points.is_empty(), "inner node {i} stores points");
-                    let child_total: u32 = node
-                        .children
-                        .iter()
-                        .flatten()
-                        .map(|&c| {
-                            let child = &self.nodes[c as usize];
-                            assert_eq!(
-                                child.level,
-                                node.level + 1,
-                                "child of node {i} skips a level"
-                            );
-                            // One-ulp slack: (origin + h) + h may round a
-                            // hair past origin + side.
-                            let tol = node.square.side * 1e-12;
-                            let p = node.square.rect();
-                            let c = child.square.rect();
-                            assert!(
-                                p.min.x - tol <= c.min.x
-                                    && p.min.y - tol <= c.min.y
-                                    && p.max.x + tol >= c.max.x
-                                    && p.max.y + tol >= c.max.y,
-                                "child square of node {i} escapes its parent"
-                            );
-                            child.counts.iter().map(|&(_, n)| n).sum::<u32>()
-                        })
-                        .sum();
-                    let own_total: u32 = node.counts.iter().map(|&(_, c)| c).sum();
-                    assert_eq!(
-                        own_total, child_total,
-                        "node {i}: counts disagree with its children"
-                    );
-                }
-                for omega in [&node.omega_inf, &node.omega_vrf].into_iter().flatten() {
-                    assert!(
-                        omega.windows(2).all(|w| w[0] < w[1]),
-                        "node {i}: cached omega list not sorted"
-                    );
-                    assert!(
-                        omega.iter().all(|&u| (u as usize) < self.n_users),
-                        "node {i}: cached omega user out of range"
-                    );
-                }
+                assert!(
+                    users.iter().all(|&u| (u as usize) < self.n_users),
+                    "omega_inf user out of range"
+                );
             }
         }
     }
 
-    /// Inserts one more moving user into a built index (the streaming
-    /// scenario of the related work: check-in streams keep arriving after
-    /// deployment). Node counts along every affected path are updated and
-    /// stale caches invalidated, so subsequent [`IQuadTree::traverse`]
-    /// calls behave exactly as if the tree had been built with the user
-    /// from the start. Returns the new user's id.
-    ///
-    /// `pf`/`tau` must match the values the tree was built with — they are
-    /// needed to re-derive `NIR` when the new user raises `r_max`.
-    ///
-    /// # Errors
-    /// Returns `Err` with the offending position when any position falls
-    /// outside the indexed root region (the region is fixed at build time).
-    pub fn insert_user<PF: ProbabilityFunction + ?Sized>(
-        &mut self,
-        user: &MovingUser,
-        pf: &PF,
-        tau: f64,
-    ) -> Result<u32, Point> {
-        let root_rect = self.root_square.rect();
-        if let Some(p) = user.positions().iter().find(|p| !root_rect.contains(p)) {
-            return Err(*p);
+    /// A fresh per-worker scratch for [`IQuadTree::traverse`].
+    pub fn scratch(&self) -> TraverseScratch {
+        TraverseScratch {
+            mark: vec![0; self.n_users],
+            epoch: 0,
+            omega_vrf: BTreeMap::new(),
         }
-        let uid = self.n_users as u32;
-        self.n_users += 1;
-        self.seen
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .mark
-            .push(0);
-
-        self.raise_r_max(user.len(), pf, tau);
-        self.insert_positions(uid, user);
-
-        // Leaves whose NIR window now sees the new positions carry stale
-        // Ω_vrf caches: a leaf L is affected iff some new position lies in
-        // L.rect.inflate(NIR) ⟺ L.rect intersects position ± NIR.
-        if let Some(nir) = self.nir {
-            let window = user.mbr().inflate(nir);
-            self.invalidate_vrf_in(0, &window);
-        }
-        Ok(uid)
-    }
-
-    /// Replaces user `uid`'s trajectory: removes every indexed position of
-    /// the id, then re-inserts the new positions under the **same** id —
-    /// the check-in/move side of the streaming scenario, keeping ids
-    /// stable for the surrounding influence state. Subsequent traversals
-    /// behave exactly as if the tree had been built with the new
-    /// trajectory from the start. Returns the number of old positions
-    /// removed (0 when the id is unknown, in which case nothing is
-    /// inserted either).
-    ///
-    /// `pf`/`tau` must match the build-time values, as for
-    /// [`IQuadTree::insert_user`].
-    ///
-    /// # Errors
-    /// Returns `Err` with the offending position when any new position
-    /// falls outside the indexed root region; the tree is unchanged.
-    pub fn move_user<PF: ProbabilityFunction + ?Sized>(
-        &mut self,
-        uid: u32,
-        user: &MovingUser,
-        pf: &PF,
-        tau: f64,
-    ) -> Result<usize, Point> {
-        let root_rect = self.root_square.rect();
-        if let Some(p) = user.positions().iter().find(|p| !root_rect.contains(p)) {
-            return Err(*p);
-        }
-        if uid as usize >= self.n_users {
-            return Ok(0);
-        }
-        let removed = self.remove_user(uid);
-        self.raise_r_max(user.len(), pf, tau);
-        self.insert_positions(uid, user);
-        if let Some(nir) = self.nir {
-            let window = user.mbr().inflate(nir);
-            self.invalidate_vrf_in(0, &window);
-        }
-        Ok(removed)
-    }
-
-    /// Growing `r_max` loosens NIR: every cached Ω_vrf may be too small.
-    fn raise_r_max<PF: ProbabilityFunction + ?Sized>(&mut self, r: usize, pf: &PF, tau: f64) {
-        if r > self.r_max {
-            self.r_max = r;
-            self.nir = non_influence_radius(pf, tau, self.r_max);
-            for node in &mut self.nodes {
-                node.omega_vrf = None;
-            }
-        }
-    }
-
-    /// The shared position walk of [`IQuadTree::insert_user`] and
-    /// [`IQuadTree::move_user`]: threads every position down its root→leaf
-    /// path, updating node counts, storing leaf points, materialising
-    /// missing child nodes and dropping stale caches along the way.
-    /// Callers have already validated that every position lies inside the
-    /// root region and that `uid` is allocated.
-    fn insert_positions(&mut self, uid: u32, user: &MovingUser) {
-        for p in user.positions() {
-            let mut square = self.root_square;
-            let mut idx = 0usize;
-            for level in 0..=self.depth {
-                let node = &mut self.nodes[idx];
-                // Counts and cached rule results of this node change.
-                match node.counts.binary_search_by_key(&uid, |&(u, _)| u) {
-                    Ok(i) => node.counts[i].1 += 1,
-                    Err(i) => node.counts.insert(i, (uid, 1)),
-                }
-                node.omega_inf = None;
-                node.omega_vrf = None;
-                if level == self.depth {
-                    node.points.push((uid, *p));
-                    break;
-                }
-                let q = square.quadrant_of(p);
-                square = square.child(q);
-                idx = match self.nodes[idx].children[q] {
-                    Some(c) => c as usize,
-                    None => {
-                        let new_idx = self.nodes.len() as u32;
-                        self.nodes.push(IqtNode {
-                            square,
-                            level: level + 1,
-                            children: [None; 4],
-                            counts: Vec::new(),
-                            points: Vec::new(),
-                            omega_inf: None,
-                            omega_vrf: None,
-                        });
-                        self.nodes[idx].children[q] = Some(new_idx);
-                        new_idx as usize
-                    }
-                };
-            }
-        }
-    }
-
-    fn invalidate_vrf_in(&mut self, idx: usize, window: &Rect) {
-        let sq = self.nodes[idx].square.rect();
-        if !sq.intersects(window) {
-            return;
-        }
-        self.nodes[idx].omega_vrf = None;
-        let children = self.nodes[idx].children;
-        for child in children.into_iter().flatten() {
-            self.invalidate_vrf_in(child as usize, window);
-        }
-    }
-
-    /// Removes every position of user `uid` from the index (the expiry side
-    /// of the streaming scenario: a user's records age out). The id itself
-    /// stays allocated — it simply never appears in any traversal outcome
-    /// again, exactly as if the user had never been inserted.
-    ///
-    /// `NIR` is *not* shrunk even when the removed user carried `r_max`:
-    /// a too-large NIR is conservative (more verification, never a wrong
-    /// decision), and recomputing `r_max` would require a full rescan.
-    ///
-    /// Returns the number of positions removed (0 when the id is unknown
-    /// or was already removed).
-    pub fn remove_user(&mut self, uid: u32) -> usize {
-        if uid as usize >= self.n_users {
-            return 0;
-        }
-        let removed = self.remove_user_rec(0, uid);
-        if removed > 0 {
-            if let Some(nir) = self.nir {
-                // Stale Ω_vrf caches around the removed positions would
-                // keep offering the user for verification; clear them. The
-                // affected area is bounded by the removed positions, whose
-                // extent the recursive pass tracked via `last_removed_mbr`.
-                if let Some(mbr) = self.last_removed_mbr.take() {
-                    let window = mbr.inflate(nir);
-                    self.invalidate_vrf_in(0, &window);
-                }
-            }
-        }
-        removed
-    }
-
-    fn remove_user_rec(&mut self, idx: usize, uid: u32) -> usize {
-        let Ok(pos) = self.nodes[idx]
-            .counts
-            .binary_search_by_key(&uid, |&(u, _)| u)
-        else {
-            return 0;
-        };
-        self.nodes[idx].counts.remove(pos);
-        self.nodes[idx].omega_inf = None;
-        self.nodes[idx].omega_vrf = None;
-        if self.nodes[idx].level == self.depth {
-            let points = std::mem::take(&mut self.nodes[idx].points);
-            let before = points.len();
-            let mut kept = Vec::with_capacity(before);
-            for (u, p) in points {
-                if u == uid {
-                    // Track the extent of removed positions for the cache
-                    // invalidation pass in `remove_user`.
-                    match &mut self.last_removed_mbr {
-                        Some(m) => m.expand_to(&p),
-                        none => *none = Some(Rect::point(p)),
-                    }
-                } else {
-                    kept.push((u, p));
-                }
-            }
-            let removed = before - kept.len();
-            self.nodes[idx].points = kept;
-            return removed;
-        }
-        let children = self.nodes[idx].children;
-        let mut removed = 0;
-        for child in children.into_iter().flatten() {
-            removed += self.remove_user_rec(child as usize, uid);
-        }
-        removed
     }
 
     /// Algorithm 3 (`Traverse`): classifies all users for the abstract
-    /// facility at `v` using the IS and NIR rules, reusing every previously
-    /// cached node result (the batch-wise property).
-    pub fn traverse(&mut self, v: &Point) -> TraverseOutcome {
+    /// facility at `v` using the IS and NIR rules.
+    ///
+    /// Takes `&self` (the tree is `Sync`), so workers chunking a batch of
+    /// facilities traverse concurrently, each with its own `scratch`.
+    /// Facilities sharing a leaf within one worker's chunk pay a single
+    /// NIR query (the batch-wise property, per worker). The outcome does
+    /// not depend on the scratch's history.
+    pub fn traverse(&self, v: &Point, scratch: &mut TraverseScratch) -> TraverseOutcome {
         let Some(nir) = self.nir else {
             // No user can ever be influenced: nothing to verify either.
             return TraverseOutcome::default();
@@ -643,59 +397,35 @@ impl IQuadTree {
             // v lies outside the indexed region: no IS pruning is possible;
             // fall back to an exact NIR ball around v.
             let rect = Rect::point(*v).inflate(nir);
-            let possible = self.users_with_position_in(&rect);
             return TraverseOutcome {
                 influenced: Vec::new(),
-                to_verify: possible,
+                to_verify: self.users_with_position_in(&rect, scratch),
             };
         }
 
-        // Influenced users: union of Ω_inf along the root→leaf path of
-        // existing nodes containing v (IS rule per level, Lemma 2 + the
-        // enlargement hierarchy of Fig. 4). The geometric descent continues
-        // even where no node is materialised so the NIR rectangle stays
-        // tight around the true leaf square.
+        // Influenced users: union of Ω_inf along v's root→leaf path (IS
+        // rule per level, Lemma 2 + the enlargement hierarchy of Fig. 4).
+        // Only non-empty nodes where the rule fires have a table entry.
+        let code = morton_code(&self.root_square, self.depth, v);
         let mut influenced: Vec<u32> = Vec::new();
-        let mut square = self.root_square;
-        let mut cursor: Option<u32> = Some(0);
         for level in 0..=self.depth {
-            if let Some(ci) = cursor {
-                self.ensure_omega_inf(ci as usize);
-                // ensure_omega_inf has just materialised the cache; an
-                // (unreachable) empty fallback keeps this panic-free.
-                if let Some(inf) = self.nodes[ci as usize].omega_inf.as_deref() {
-                    setops::union_into(&mut influenced, inf);
-                }
-            }
-            if level < self.depth {
-                let q = square.quadrant_of(v);
-                cursor = cursor.and_then(|ci| self.nodes[ci as usize].children[q]);
-                square = square.quadrants()[q];
+            let key = (level, code >> (2 * (self.depth - level)));
+            if let Ok(i) = self.omega_inf.binary_search_by_key(&key, |&(k, _)| k) {
+                setops::union_into(&mut influenced, &self.omega_inf[i].1);
             }
         }
-        // `square` is now the geometric leaf square containing v, and
-        // `cursor` the materialised leaf node when the path exists.
-        let leaf_node = cursor.map(|c| c as usize);
 
         // NIR rule at the leaf: candidates for influence are exactly the
-        // users with ≥1 position inside □_NIR(leaf). Cached on the
-        // materialised leaf (batch-wise reuse); computed on the fly for the
-        // rare facility sitting in an empty leaf square.
-        let to_verify = if let Some(leaf) = leaf_node {
-            debug_assert_eq!(self.nodes[leaf].level, self.depth);
-            if self.nodes[leaf].omega_vrf.is_none() {
-                let rect = self.nodes[leaf].square.rect().inflate(nir);
-                let possible = self.users_with_position_in(&rect);
-                self.nodes[leaf].omega_vrf = Some(possible);
+        // users with ≥1 position inside □_NIR(leaf), memoised per leaf.
+        let to_verify = match scratch.omega_vrf.get(&code) {
+            Some(vrf) => setops::difference(vrf, &influenced),
+            None => {
+                let rect = self.square_of(self.depth, code).rect().inflate(nir);
+                let vrf = self.users_with_position_in(&rect, scratch);
+                let to_verify = setops::difference(&vrf, &influenced);
+                scratch.omega_vrf.insert(code, vrf);
+                to_verify
             }
-            // Filled two lines up when absent; the empty fallback is
-            // unreachable but keeps this branch panic-free.
-            let cached = self.nodes[leaf].omega_vrf.as_deref().unwrap_or(&[]);
-            setops::difference(cached, &influenced)
-        } else {
-            let rect = square.rect().inflate(nir);
-            let possible = self.users_with_position_in(&rect);
-            setops::difference(&possible, &influenced)
         };
         TraverseOutcome {
             influenced,
@@ -703,231 +433,144 @@ impl IQuadTree {
         }
     }
 
-    /// A fresh per-worker scratch for [`IQuadTree::traverse_shared`].
-    pub fn scratch(&self) -> TraverseScratch {
-        TraverseScratch {
-            stamp: Stamp {
-                mark: vec![0; self.n_users],
-                epoch: 0,
-            },
-            omega_inf: std::collections::BTreeMap::new(),
-            omega_vrf: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Read-only [`IQuadTree::traverse`] for concurrent use: takes `&self`
-    /// (the tree is `Sync`) and caches node results in the caller-owned
-    /// `scratch` instead of on the nodes. The outcome is **bit-identical**
-    /// to `traverse` for every `v` — both classify by the leaf square
-    /// containing `v`, and the IS/NIR computations read only immutable
-    /// build-time state (assertion-tested below and in the core crate's
-    /// parallel-equivalence suite).
-    ///
-    /// Workers chunking a batch of facilities each hold one scratch, so
-    /// facilities sharing a leaf within a chunk still pay a single
-    /// computation (the batch-wise property, per worker).
-    ///
-    /// Scratch memos mirror node caches, so the same invalidation contract
-    /// applies: after [`IQuadTree::insert_user`]/[`IQuadTree::remove_user`],
-    /// discard old scratches and start fresh ones (the dedup marks
-    /// self-heal, the memos do not).
-    pub fn traverse_shared(&self, v: &Point, scratch: &mut TraverseScratch) -> TraverseOutcome {
-        let Some(nir) = self.nir else {
-            // No user can ever be influenced: nothing to verify either.
-            return TraverseOutcome::default();
-        };
-
-        if !self.root_square.contains(v) {
-            // v lies outside the indexed region: no IS pruning is possible;
-            // fall back to an exact NIR ball around v.
-            let rect = Rect::point(*v).inflate(nir);
-            let possible = self.users_in_rect(&rect, &mut scratch.stamp);
-            return TraverseOutcome {
-                influenced: Vec::new(),
-                to_verify: possible,
-            };
-        }
-
-        // Root→leaf descent, mirroring `traverse` line for line; the only
-        // difference is where Ω_inf/Ω_vrf get cached.
-        let mut influenced: Vec<u32> = Vec::new();
-        let mut square = self.root_square;
-        let mut cursor: Option<u32> = Some(0);
-        for level in 0..=self.depth {
-            if let Some(ci) = cursor {
-                if let Some(inf) = self.nodes[ci as usize].omega_inf.as_deref() {
-                    // A pre-warmed tree (serial traversals before the
-                    // parallel phase) already carries the node cache.
-                    setops::union_into(&mut influenced, inf);
-                } else {
-                    let inf = scratch
-                        .omega_inf
-                        .entry(ci)
-                        .or_insert_with(|| self.compute_omega_inf(ci as usize));
-                    setops::union_into(&mut influenced, inf);
-                }
-            }
-            if level < self.depth {
-                let q = square.quadrant_of(v);
-                cursor = cursor.and_then(|ci| self.nodes[ci as usize].children[q]);
-                square = square.quadrants()[q];
-            }
-        }
-        let leaf_node = cursor.map(|c| c as usize);
-
-        let to_verify = if let Some(leaf) = leaf_node {
-            debug_assert_eq!(self.nodes[leaf].level, self.depth);
-            if let Some(vrf) = self.nodes[leaf].omega_vrf.as_deref() {
-                setops::difference(vrf, &influenced)
-            } else {
-                let leaf_key = leaf as u32;
-                if !scratch.omega_vrf.contains_key(&leaf_key) {
-                    let rect = self.nodes[leaf].square.rect().inflate(nir);
-                    let possible = self.users_in_rect(&rect, &mut scratch.stamp);
-                    scratch.omega_vrf.insert(leaf_key, possible);
-                }
-                setops::difference(&scratch.omega_vrf[&leaf_key], &influenced)
-            }
-        } else {
-            let rect = square.rect().inflate(nir);
-            let possible = self.users_in_rect(&rect, &mut scratch.stamp);
-            setops::difference(&possible, &influenced)
-        };
-        TraverseOutcome {
-            influenced,
-            to_verify,
-        }
-    }
-
-    /// Computes (or reuses) `Ω_inf` of a node: users whose position count in
-    /// the node square reaches the level's `⌈η⌉`.
-    fn ensure_omega_inf(&mut self, idx: usize) {
-        if self.nodes[idx].omega_inf.is_some() {
-            return;
-        }
-        let omega = self.compute_omega_inf(idx);
-        self.nodes[idx].omega_inf = Some(omega);
-    }
-
-    /// `Ω_inf` of a node from its counts alone (the IS rule, Lemma 2).
-    /// Counts are user-sorted, so the filtered ids come out sorted.
-    fn compute_omega_inf(&self, idx: usize) -> Vec<u32> {
-        match self.eta_by_level[self.nodes[idx].level] {
-            Some(eta) => {
-                let eta = eta as u32;
-                self.nodes[idx]
-                    .counts
-                    .iter()
-                    .filter(|&&(_, c)| c >= eta)
-                    .map(|&(u, _)| u)
-                    .collect()
-            }
-            None => Vec::new(),
-        }
+    /// The square of the node at `level` with code `prefix`, by the same
+    /// `Square::child` descent the codes encode.
+    fn square_of(&self, level: usize, prefix: u64) -> Square {
+        (0..level).fold(self.root_square, |square, l| {
+            square.child(((prefix >> (2 * (level - 1 - l))) & 3) as usize)
+        })
     }
 
     /// Sorted ids of users having at least one position inside `rect`.
     ///
-    /// Fully covered nodes contribute their whole user list without
-    /// descending; partially covered leaves test exact positions.
-    pub fn users_with_position_in(&self, rect: &Rect) -> Vec<u32> {
-        // A poisoned lock only means another traversal panicked mid-query;
-        // the stamp is epoch-guarded, so its state is still valid.
-        let mut stamp = self
-            .seen
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.users_in_rect(rect, &mut stamp)
-    }
-
-    /// [`IQuadTree::users_with_position_in`] driven by an explicit stamp —
-    /// the tree's own (serial path) or a worker's scratch (shared path).
-    /// The stamp only dedups; the sorted output is stamp-independent.
-    fn users_in_rect(&self, rect: &Rect, stamp: &mut Stamp) -> Vec<u32> {
-        stamp.epoch = stamp.epoch.wrapping_add(1);
-        if stamp.epoch == 0 {
+    /// Descends the node ranges: a fully covered square contributes the
+    /// owners of its whole range; only partially covered leaves test
+    /// positions. `scratch` only dedups; the output does not depend on it.
+    pub fn users_with_position_in(&self, rect: &Rect, scratch: &mut TraverseScratch) -> Vec<u32> {
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
             // Epoch wrapped: clear stale marks once every 2^32 queries.
-            stamp.mark.iter_mut().for_each(|m| *m = 0);
-            stamp.epoch = 1;
-        }
-        if stamp.mark.len() < self.n_users {
-            // Scratch created before an insert_user call: grow the marks.
-            stamp.mark.resize(self.n_users, 0);
+            scratch.mark.fill(0);
+            scratch.epoch = 1;
         }
         let mut out: Vec<u32> = Vec::new();
-        self.collect_users(0, rect, stamp, &mut out);
+        self.collect_users(
+            0,
+            0..self.codes.len(),
+            self.root_square,
+            rect,
+            scratch,
+            &mut out,
+        );
         // `out` holds each user at most once (stamped); only a sort of the
         // unique ids remains.
         out.sort_unstable();
         out
     }
 
-    fn collect_users(&self, idx: usize, rect: &Rect, stamp: &mut Stamp, out: &mut Vec<u32>) {
-        let node = &self.nodes[idx];
-        let sq = node.square.rect();
-        if !sq.intersects(rect) {
+    fn collect_users(
+        &self,
+        level: usize,
+        range: Range<usize>,
+        square: Square,
+        rect: &Rect,
+        scratch: &mut TraverseScratch,
+        out: &mut Vec<u32>,
+    ) {
+        let sq = square.rect();
+        if range.is_empty() || !sq.intersects(rect) {
             return;
         }
-        let mark = |u: u32, stamp: &mut Stamp, out: &mut Vec<u32>| {
-            let m = &mut stamp.mark[u as usize];
-            if *m != stamp.epoch {
-                *m = stamp.epoch;
+        let mut mark = |u: u32| {
+            let m = &mut scratch.mark[u as usize];
+            if *m != scratch.epoch {
+                *m = scratch.epoch;
                 out.push(u);
             }
         };
         if rect.contains_rect(&sq) {
-            for u in node.user_ids() {
-                mark(u, stamp, out);
-            }
+            self.owner[range].iter().for_each(|&u| mark(u));
             return;
         }
-        if node.level == self.depth {
-            for (u, p) in &node.points {
-                if rect.contains(p) {
-                    mark(*u, stamp, out);
+        if level == self.depth {
+            for i in range {
+                if rect.contains(&self.points[i]) {
+                    mark(self.owner[i]);
                 }
             }
             return;
         }
-        for child in node.children.into_iter().flatten() {
-            self.collect_users(child as usize, rect, stamp, out);
+        // The range shares its first `level` digits, so the next digit
+        // ascends through it: each child is one contiguous sub-range.
+        let shift = 2 * (self.depth - 1 - level);
+        let mut start = range.start;
+        for q in 0..4u64 {
+            let end =
+                start + self.codes[start..range.end].partition_point(|&c| (c >> shift) & 3 <= q);
+            self.collect_users(
+                level + 1,
+                start..end,
+                square.child(q as usize),
+                rect,
+                scratch,
+                out,
+            );
+            start = end;
         }
     }
 }
 
-/// Merges two user-sorted `(user, count)` lists, summing counts.
-fn merge_counts(a: &[(u32, u32)], b: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    if a.is_empty() {
-        return b.to_vec();
+/// The users' padded extent and the depth that halves it down to the leaf
+/// side (saturating; unbounded until [`IQuadTree::build`] checks it).
+fn frame(users: &[MovingUser], leaf_diagonal: f64) -> (Rect, usize) {
+    let mut extent = Extent::new();
+    for u in users {
+        extent.add_all(u.positions());
     }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
-            }
+    let region = extent
+        .padded_rect(1e-6)
+        .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
+    let leaf_side = leaf_diagonal / std::f64::consts::SQRT_2;
+    let need = region.width().max(region.height()) / leaf_side;
+    (region, need.log2().ceil().max(0.0) as usize)
+}
+
+/// The stable order of `codes` by their low `bits` bits: an LSD radix sort
+/// of indices in the fewest passes of at most [`RADIX_BITS`]-bit digits.
+fn radix_order(codes: &[u64], bits: usize) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..codes.len() as u32).collect();
+    if bits == 0 {
+        return order;
+    }
+    let passes = bits.div_ceil(RADIX_BITS);
+    let width = bits.div_ceil(passes);
+    let mask = (1u64 << width) - 1;
+    let mut sorted = vec![0u32; codes.len()];
+    let mut offsets = vec![0usize; 1 << width];
+    for pass in 0..passes {
+        let shift = pass * width;
+        let digit = |i: usize| ((codes[i] >> shift) & mask) as usize;
+        offsets.fill(0);
+        for i in 0..codes.len() {
+            offsets[digit(i)] += 1;
         }
+        let mut sum = 0;
+        for o in &mut offsets {
+            sum += std::mem::replace(o, sum);
+        }
+        for &i in &order {
+            let slot = &mut offsets[digit(i as usize)];
+            sorted[*slot] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut sorted);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc2ls_geo::morton_code;
     use mc2ls_influence::{influences, Sigmoid};
 
     fn users_grid() -> Vec<MovingUser> {
@@ -964,14 +607,15 @@ mod tests {
         let users = users_grid();
         let pf = Sigmoid::paper_default();
         let tau = 0.5;
-        let mut t = IQuadTree::build(&users, &pf, tau, 2.0);
+        let t = IQuadTree::build(&users, &pf, tau, 2.0);
+        let mut scratch = t.scratch();
         for v in [
             Point::new(0.2, 0.2),
             Point::new(7.5, 7.5),
             Point::new(15.0, 12.0),
             Point::new(-3.0, -3.0), // outside the region
         ] {
-            let out = t.traverse(&v);
+            let out = t.traverse(&v, &mut scratch);
             // influenced ∩ to_verify = ∅
             assert!(setops::intersect(&out.influenced, &out.to_verify).is_empty());
             for (uid, u) in users.iter().enumerate() {
@@ -993,12 +637,23 @@ mod tests {
     fn batchwise_traverse_is_cached_and_stable() {
         let users = users_grid();
         let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&users, &pf, 0.5, 2.0);
+        let t = IQuadTree::build(&users, &pf, 0.5, 2.0);
+        let mut scratch = t.scratch();
         let v1 = Point::new(1.0, 1.0);
         let v2 = Point::new(1.05, 1.02); // same leaf
-        let a = t.traverse(&v1);
-        let b1 = t.traverse(&v2);
-        let b2 = t.traverse(&v2);
+        let a = t.traverse(&v1, &mut scratch);
+        assert_eq!(
+            scratch.omega_vrf.len(),
+            1,
+            "the leaf's Omega_vrf is memoised"
+        );
+        let b1 = t.traverse(&v2, &mut scratch);
+        assert_eq!(
+            scratch.omega_vrf.len(),
+            1,
+            "a second facility in the leaf reuses it"
+        );
+        let b2 = t.traverse(&v2, &mut t.scratch());
         assert_eq!(b1.influenced, b2.influenced);
         assert_eq!(b1.to_verify, b2.to_verify);
         // Same leaf ⇒ same pruning sets (IS/NIR act on the square).
@@ -1014,9 +669,9 @@ mod tests {
             .map(|i| MovingUser::new(vec![Point::new(i as f64, 0.0)]))
             .collect();
         let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&users, &pf, 0.7, 2.0);
+        let t = IQuadTree::build(&users, &pf, 0.7, 2.0);
         assert!(t.nir().is_none());
-        let out = t.traverse(&Point::new(0.0, 0.0));
+        let out = t.traverse(&Point::new(0.0, 0.0), &mut t.scratch());
         assert!(out.influenced.is_empty());
         assert!(out.to_verify.is_empty());
     }
@@ -1027,7 +682,7 @@ mod tests {
         let pf = Sigmoid::paper_default();
         let t = IQuadTree::build(&users, &pf, 0.5, 2.0);
         let rect = Rect::new(Point::new(2.0, 2.0), Point::new(9.0, 9.0));
-        let got = t.users_with_position_in(&rect);
+        let got = t.users_with_position_in(&rect, &mut t.scratch());
         let mut want: Vec<u32> = users
             .iter()
             .enumerate()
@@ -1038,24 +693,79 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The children of every non-empty node split its range into four
+    /// contiguous sub-ranges, one per quadrant, whose positions lie in the
+    /// child's square: a node's position count is the sum of its
+    /// children's.
     #[test]
     fn internal_counts_equal_sum_of_children() {
         let users = users_grid();
         let pf = Sigmoid::paper_default();
-        let t = IQuadTree::build(&users, &pf, 0.5, 2.0);
-        for node in &t.nodes {
-            if node.is_leaf() {
+        let t = IQuadTree::build(&users, &pf, 0.5, 0.5);
+        assert!(t.depth >= 3);
+        let mut nodes = 0;
+        // (level, prefix, range) of every non-empty node, parents first.
+        let mut stack = vec![(0usize, 0u64, 0..t.codes.len())];
+        while let Some((level, prefix, range)) = stack.pop() {
+            nodes += 1;
+            let square = t.square_of(level, prefix);
+            let tol = square.side * 1e-12;
+            for p in &t.points[range.clone()] {
+                let r = square.rect();
+                assert!(
+                    p.x >= r.min.x - tol
+                        && p.x <= r.max.x + tol
+                        && p.y >= r.min.y - tol
+                        && p.y <= r.max.y + tol,
+                    "position {p:?} escapes its node square at level {level}"
+                );
+            }
+            if level == t.depth {
                 continue;
             }
-            let mut merged: Vec<(u32, u32)> = Vec::new();
-            for child in node.children.into_iter().flatten() {
-                merged = merge_counts(&merged, &t.nodes[child as usize].counts);
+            let shift = 2 * (t.depth - 1 - level);
+            let mut start = range.start;
+            for q in 0..4u64 {
+                let len = t.codes[start..range.end]
+                    .iter()
+                    .take_while(|&&c| (c >> shift) & 3 == q)
+                    .count();
+                if len > 0 {
+                    stack.push((level + 1, (prefix << 2) | q, start..start + len));
+                }
+                start += len;
             }
-            assert_eq!(node.counts, merged);
+            assert_eq!(
+                start, range.end,
+                "children leave part of the range uncovered"
+            );
         }
-        // Root counts cover every position exactly once.
-        let total: u32 = t.nodes[0].counts.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total as usize, users.iter().map(|u| u.len()).sum::<usize>());
+        assert_eq!(nodes, t.stats().nodes);
+        assert_eq!(t.codes.len(), users.iter().map(|u| u.len()).sum::<usize>());
+    }
+
+    #[test]
+    fn the_radix_order_is_stable_and_matches_a_comparison_sort() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for bits in [0, 2, 16, 22, 23, 40, 62] {
+            let mask = if bits == 0 {
+                0
+            } else {
+                u64::MAX >> (64 - bits)
+            };
+            let codes: Vec<u64> = (0..500)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    // Few distinct codes, so ties are common.
+                    state & mask & !0xF0
+                })
+                .collect();
+            let mut want: Vec<u32> = (0..500).collect();
+            want.sort_by_key(|&i| codes[i as usize]);
+            assert_eq!(radix_order(&codes, bits), want, "{bits} bits");
+        }
     }
 
     #[test]
@@ -1064,6 +774,22 @@ mod tests {
         // ~15 km of extent over a 1e-30 km leaf needs ~100 levels: the
         // budget check must fire before `1 << depth` overflows.
         IQuadTree::build(&users_grid(), &Sigmoid::paper_default(), 0.5, 1e-30);
+    }
+
+    #[test]
+    fn depth_for_is_the_built_depth() {
+        let users = users_grid();
+        for leaf in [0.01, 0.5, 2.0, 100.0] {
+            let t = IQuadTree::build(&users, &Sigmoid::paper_default(), 0.5, leaf);
+            assert_eq!(IQuadTree::depth_for(&users, leaf), t.stats().depth);
+        }
+        assert!(IQuadTree::depth_for(&users, 1e-300) > IQuadTree::MAX_DEPTH);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf diagonal must be positive and finite")]
+    fn an_infinite_leaf_diagonal_is_rejected() {
+        IQuadTree::build(&users_grid(), &Sigmoid::paper_default(), 0.5, f64::INFINITY);
     }
 
     #[test]
@@ -1091,209 +817,9 @@ mod tests {
     }
 
     #[test]
-    fn incremental_insert_matches_batch_build() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let tau = 0.5;
-        // Batch tree over all users.
-        let mut batch = IQuadTree::build(&users, &pf, tau, 2.0);
-        // Incremental tree: first 10 users at build time, rest inserted —
-        // with traversals interleaved so caches exist and must be
-        // invalidated correctly.
-        let mut inc = IQuadTree::build(&users[..10], &pf, tau, 2.0);
-        let probes: Vec<Point> = (0..8)
-            .map(|i| Point::new((i % 4) as f64 * 4.0 + 0.3, (i / 4) as f64 * 6.0 + 0.4))
-            .collect();
-        for (i, u) in users[10..].iter().enumerate() {
-            if i % 3 == 0 {
-                let _ = inc.traverse(&probes[i % probes.len()]);
-            }
-            let uid = inc.insert_user(u, &pf, tau).unwrap();
-            assert_eq!(uid as usize, 10 + i);
-        }
-        for v in &probes {
-            let a = batch.traverse(v);
-            let b = inc.traverse(v);
-            assert_eq!(a.influenced, b.influenced, "probe {v:?}");
-            assert_eq!(a.to_verify, b.to_verify, "probe {v:?}");
-        }
-        assert_eq!(batch.stats().positions, inc.stats().positions);
-    }
-
-    #[test]
-    fn insert_raising_r_max_stays_sound() {
-        let pf = Sigmoid::paper_default();
-        let tau = 0.7;
-        // Start with small users (r = 2) and cache a traversal.
-        let small: Vec<MovingUser> = (0..5)
-            .map(|i| {
-                MovingUser::new(vec![
-                    Point::new(i as f64, 0.0),
-                    Point::new(i as f64 + 0.1, 0.1),
-                ])
-            })
-            .collect();
-        let mut t = IQuadTree::build(&small, &pf, tau, 2.0);
-        let v = Point::new(2.0, 0.0);
-        let _ = t.traverse(&v);
-        let old_nir = t.nir();
-        // Insert a 20-position user far away but within the old extent...
-        // (positions must stay inside the root square).
-        let root = t.root_square.rect();
-        let big = MovingUser::new(
-            (0..20)
-                .map(|j| {
-                    Point::new(
-                        (root.min.x + 0.2 + 0.01 * j as f64).min(root.max.x),
-                        (root.min.y + 0.2).min(root.max.y),
-                    )
-                })
-                .collect(),
-        );
-        let uid = t.insert_user(&big, &pf, tau).unwrap();
-        assert!(t.nir() >= old_nir, "NIR must not shrink");
-        // Soundness after the update.
-        let out = t.traverse(&v);
-        let mut all: Vec<MovingUser> = small;
-        all.push(big);
-        for (o, u) in all.iter().enumerate() {
-            let truth = influences(&pf, &v, u.positions(), tau);
-            let o = o as u32;
-            if setops::contains(&out.influenced, o) {
-                assert!(truth);
-            } else if !setops::contains(&out.to_verify, o) {
-                assert!(!truth, "user {o} wrongly pruned after insert");
-            }
-        }
-        assert_eq!(uid, 5);
-    }
-
-    #[test]
-    fn remove_user_behaves_as_never_inserted() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let tau = 0.5;
-        // Reference: a tree over all users except #7 and #19.
-        let kept: Vec<MovingUser> = users
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 7 && i != 19)
-            .map(|(_, u)| u.clone())
-            .collect();
-        let mut reference = IQuadTree::build(&kept, &pf, tau, 2.0);
-        // Under test: full tree, traversed (to fill caches), then pruned.
-        let mut t = IQuadTree::build(&users, &pf, tau, 2.0);
-        let probes: Vec<Point> = (0..6)
-            .map(|i| Point::new((i % 3) as f64 * 5.0 + 0.2, (i / 3) as f64 * 7.0 + 0.3))
-            .collect();
-        for v in &probes {
-            let _ = t.traverse(v);
-        }
-        assert_eq!(t.remove_user(7), users[7].len());
-        assert_eq!(t.remove_user(19), users[19].len());
-        assert_eq!(t.remove_user(7), 0, "double removal is a no-op");
-        assert_eq!(t.remove_user(9999), 0, "unknown id is a no-op");
-        // Every traversal must match the reference, modulo the id shift
-        // (reference ids skip the removed users).
-        let shift = |id: u32| -> u32 {
-            // Map reference id back to original id space.
-            let mut orig = id;
-            if orig >= 7 {
-                orig += 1;
-            }
-            if orig >= 19 {
-                orig += 1;
-            }
-            orig
-        };
-        for v in &probes {
-            let want = reference.traverse(v);
-            let got = t.traverse(v);
-            let want_inf: Vec<u32> = want.influenced.iter().map(|&i| shift(i)).collect();
-            let want_vrf: Vec<u32> = want.to_verify.iter().map(|&i| shift(i)).collect();
-            assert_eq!(got.influenced, want_inf, "probe {v:?}");
-            assert_eq!(got.to_verify, want_vrf, "probe {v:?}");
-        }
-        assert_eq!(
-            t.stats().positions,
-            users.iter().map(|u| u.len()).sum::<usize>() - users[7].len() - users[19].len()
-        );
-    }
-
-    #[test]
-    fn insert_then_remove_roundtrip() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let tau = 0.6;
-        let mut reference = IQuadTree::build(&users, &pf, tau, 2.0);
-        let mut t = IQuadTree::build(&users, &pf, tau, 2.0);
-        let newcomer = MovingUser::new(vec![
-            Point::new(3.0, 3.0),
-            Point::new(3.1, 3.2),
-            Point::new(2.9, 3.1),
-        ]);
-        let probe = Point::new(3.05, 3.05);
-        let _ = t.traverse(&probe); // fill caches before the churn
-        let uid = t.insert_user(&newcomer, &pf, tau).unwrap();
-        let _ = t.traverse(&probe);
-        assert_eq!(t.remove_user(uid), 3);
-        let a = reference.traverse(&probe);
-        let b = t.traverse(&probe);
-        assert_eq!(a.influenced, b.influenced);
-        assert_eq!(a.to_verify, b.to_verify);
-    }
-
-    #[test]
-    fn insert_out_of_bounds_is_rejected() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&users, &pf, 0.5, 2.0);
-        let far = MovingUser::new(vec![Point::new(1e6, 1e6)]);
-        let err = t.insert_user(&far, &pf, 0.5);
-        assert_eq!(err, Err(Point::new(1e6, 1e6)));
-        // A rejected insert leaves the tree untouched and queryable.
-        let out = t.traverse(&Point::new(0.5, 0.5));
-        assert!(!out.to_verify.is_empty() || !out.influenced.is_empty());
-    }
-
-    #[test]
     fn tree_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<IQuadTree>();
-    }
-
-    #[test]
-    fn traverse_shared_matches_traverse() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&users, &pf, 0.5, 2.0);
-        let probes: Vec<Point> = vec![
-            Point::new(0.2, 0.2),
-            Point::new(7.5, 7.5),
-            Point::new(15.0, 12.0),
-            Point::new(1.0, 1.0),
-            Point::new(1.05, 1.02), // same leaf as the previous probe
-            Point::new(-3.0, -3.0), // outside the region
-        ];
-        // Cold tree, one scratch reused across probes (batch-wise path).
-        let mut scratch = t.scratch();
-        let shared: Vec<TraverseOutcome> = probes
-            .iter()
-            .map(|v| t.traverse_shared(v, &mut scratch))
-            .collect();
-        // Reference outcomes from the &mut self path.
-        for (v, got) in probes.iter().zip(&shared) {
-            let want = t.traverse(v);
-            assert_eq!(got.influenced, want.influenced, "probe {v:?}");
-            assert_eq!(got.to_verify, want.to_verify, "probe {v:?}");
-        }
-        // Warm tree (node caches now populated): shared must still agree.
-        let mut warm_scratch = t.scratch();
-        for (v, want) in probes.iter().zip(&shared) {
-            let got = t.traverse_shared(v, &mut warm_scratch);
-            assert_eq!(got.influenced, want.influenced, "warm probe {v:?}");
-            assert_eq!(got.to_verify, want.to_verify, "warm probe {v:?}");
-        }
     }
 
     #[test]
@@ -1305,9 +831,10 @@ mod tests {
         let probes: Vec<Point> = (0..24)
             .map(|i| Point::new((i % 6) as f64 * 2.7 + 0.3, (i / 6) as f64 * 3.1 + 0.2))
             .collect();
-        // Serial reference on a clone (traverse needs &mut).
-        let mut serial_tree = t.clone();
-        let want: Vec<TraverseOutcome> = probes.iter().map(|v| serial_tree.traverse(v)).collect();
+        // Serial reference: one scratch across every probe.
+        let mut serial = t.scratch();
+        let want: Vec<TraverseOutcome> =
+            probes.iter().map(|v| t.traverse(v, &mut serial)).collect();
         // 4 workers over contiguous chunks, each with a private scratch.
         let got: Vec<TraverseOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = probes
@@ -1318,7 +845,7 @@ mod tests {
                         let mut scratch = tree.scratch();
                         chunk
                             .iter()
-                            .map(|v| tree.traverse_shared(v, &mut scratch))
+                            .map(|v| tree.traverse(v, &mut scratch))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -1332,22 +859,6 @@ mod tests {
             assert_eq!(a.influenced, b.influenced, "probe {v:?}");
             assert_eq!(a.to_verify, b.to_verify, "probe {v:?}");
         }
-    }
-
-    #[test]
-    fn stale_scratch_survives_insert() {
-        let users = users_grid();
-        let pf = Sigmoid::paper_default();
-        let tau = 0.5;
-        let mut t = IQuadTree::build(&users, &pf, tau, 2.0);
-        let mut scratch = t.scratch(); // created before the insert
-        let newcomer = MovingUser::new(vec![Point::new(3.0, 3.0), Point::new(3.1, 3.2)]);
-        t.insert_user(&newcomer, &pf, tau).unwrap();
-        let probe = Point::new(3.05, 3.05);
-        let got = t.traverse_shared(&probe, &mut scratch);
-        let want = t.traverse(&probe);
-        assert_eq!(got.influenced, want.influenced);
-        assert_eq!(got.to_verify, want.to_verify);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`KdTree`] — a balanced median-split kd-tree, a further comparator
 //!   for the indexing-cost experiments.
 //! * [`IQuadTree`] — the paper's contribution (§V-C): a user-MBR-free index
-//!   whose nodes carry per-user position counts, with the `⟨diagonal, η⟩`
-//!   hash and the batch-wise `Traverse` procedure (Algorithm 3) implementing
-//!   the IS (Lemma 2) and NIR (Lemma 3) pruning rules.
+//!   stored as one Morton-sorted position array (a node is the range of
+//!   positions sharing a code prefix), with the `⟨diagonal, η⟩` hash and the
+//!   batch-wise `Traverse` procedure (Algorithm 3) implementing the IS
+//!   (Lemma 2) and NIR (Lemma 3) pruning rules.
 //! * [`setops`] — merge-based operations on sorted id vectors, shared by the
 //!   traversal and the algorithm layer.
 

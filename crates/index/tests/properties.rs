@@ -106,11 +106,9 @@ proptest! {
     fn iquadtree_classification_sound(us in users(), v in pt(),
                                       tau in 0.1f64..0.9, d_hat in 0.5f64..4.0) {
         let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&us, &pf, tau, d_hat);
+        let t = IQuadTree::build(&us, &pf, tau, d_hat);
         t.validate();
-        let out = t.traverse(&v);
-        // The traversal fills omega caches; the hierarchy must survive it.
-        t.validate();
+        let out = t.traverse(&v, &mut t.scratch());
         prop_assert!(setops::intersect(&out.influenced, &out.to_verify).is_empty());
         for (uid, u) in us.iter().enumerate() {
             let truth = influences(&pf, &v, u.positions(), tau);
@@ -123,110 +121,17 @@ proptest! {
         }
     }
 
-    /// Traversing twice (batch-wise cache) returns identical outcomes.
+    /// Traversing twice (the second from the scratch's leaf memo) returns
+    /// identical outcomes.
     #[test]
     fn iquadtree_traverse_idempotent(us in users(), v in pt(), tau in 0.1f64..0.9) {
         let pf = Sigmoid::paper_default();
-        let mut t = IQuadTree::build(&us, &pf, tau, 2.0);
-        let a = t.traverse(&v);
-        let b = t.traverse(&v);
-        t.validate();
+        let t = IQuadTree::build(&us, &pf, tau, 2.0);
+        let mut scratch = t.scratch();
+        let a = t.traverse(&v, &mut scratch);
+        let b = t.traverse(&v, &mut scratch);
         prop_assert_eq!(a.influenced, b.influenced);
         prop_assert_eq!(a.to_verify, b.to_verify);
-    }
-
-    /// Streaming inserts are equivalent to batch construction: traversals
-    /// after interleaved inserts match a tree built with all users.
-    #[test]
-    fn iquadtree_incremental_matches_batch(us in users(), v in pt(),
-                                           split in 1usize..10, tau in 0.2f64..0.8) {
-        let pf = Sigmoid::paper_default();
-        let split = split.min(us.len());
-        let mut batch = IQuadTree::build(&us, &pf, tau, 2.0);
-        let mut inc = IQuadTree::build(&us[..split], &pf, tau, 2.0);
-        for u in &us[split..] {
-            let _ = inc.traverse(&v); // populate caches mid-stream
-            // The incremental tree's root region covers only the first
-            // chunk; instances whose later users roam outside it are not
-            // applicable to this property (the insert is a rejected no-op).
-            let region = inc.root_region();
-            if u.positions().iter().all(|p| region.contains(p)) {
-                inc.insert_user(u, &pf, tau).unwrap();
-            } else {
-                return Ok(());
-            }
-        }
-        let a = batch.traverse(&v);
-        let b = inc.traverse(&v);
-        prop_assert_eq!(a.influenced, b.influenced);
-        prop_assert_eq!(a.to_verify, b.to_verify);
-    }
-
-    /// After removing a user, traversal stays sound and complete for the
-    /// remaining users and never mentions the removed one — even with
-    /// caches warmed before the removal. (Comparing against a rebuilt tree
-    /// is NOT a valid oracle: removal can change the data extent, and a
-    /// differently-rooted tree partitions decisions differently while
-    /// remaining equally sound.)
-    #[test]
-    fn iquadtree_remove_stays_sound(us in users(), v in pt(),
-                                    victim in 0usize..40, tau in 0.2f64..0.8) {
-        let pf = Sigmoid::paper_default();
-        let victim = victim % us.len();
-        let mut t = IQuadTree::build(&us, &pf, tau, 2.0);
-        let _ = t.traverse(&v); // warm caches before removal
-        prop_assert_eq!(t.remove_user(victim as u32), us[victim].len());
-        let out = t.traverse(&v);
-        prop_assert!(!setops::contains(&out.influenced, victim as u32));
-        prop_assert!(!setops::contains(&out.to_verify, victim as u32));
-        for (uid, u) in us.iter().enumerate() {
-            if uid == victim {
-                continue;
-            }
-            let truth = influences(&pf, &v, u.positions(), tau);
-            let uid = uid as u32;
-            if setops::contains(&out.influenced, uid) {
-                prop_assert!(truth, "IS admitted user {} wrongly after removal", uid);
-            } else if !setops::contains(&out.to_verify, uid) {
-                prop_assert!(!truth, "pruned influenced user {} after removal", uid);
-            }
-        }
-    }
-
-    /// Replacing a trajectory via move_user keeps the id stable and the
-    /// classification sound and complete for the *new* trajectory — with
-    /// caches warmed before and after the move.
-    #[test]
-    fn iquadtree_move_stays_sound(us in users(), v in pt(),
-                                  mover in 0usize..40, tau in 0.2f64..0.8,
-                                  to in pt()) {
-        let pf = Sigmoid::paper_default();
-        let mover = mover % us.len();
-        let mut t = IQuadTree::build(&us, &pf, tau, 2.0);
-        let _ = t.traverse(&v); // warm caches before the move
-        let replacement = MovingUser::new(vec![to]);
-        if !t.root_region().contains(&to) {
-            // Out-of-region targets are a rejected no-op.
-            prop_assert!(t.move_user(mover as u32, &replacement, &pf, tau).is_err());
-            return Ok(());
-        }
-        prop_assert_eq!(
-            t.move_user(mover as u32, &replacement, &pf, tau),
-            Ok(us[mover].len())
-        );
-        t.validate();
-        let out = t.traverse(&v);
-        t.validate();
-        for (uid, u) in us.iter().enumerate() {
-            let positions = if uid == mover { replacement.positions() } else { u.positions() };
-            let truth = influences(&pf, &v, positions, tau);
-            let uid = uid as u32;
-            if setops::contains(&out.influenced, uid) {
-                prop_assert!(truth, "IS admitted user {} wrongly after move", uid);
-            } else if !setops::contains(&out.to_verify, uid) {
-                prop_assert!(!truth, "pruned influenced user {} after move", uid);
-            }
-        }
     }
 
     /// users_with_position_in agrees with a brute-force scan.
@@ -234,7 +139,7 @@ proptest! {
     fn iquadtree_user_query_matches_brute(us in users(), r in rect()) {
         let pf = Sigmoid::paper_default();
         let t = IQuadTree::build(&us, &pf, 0.5, 2.0);
-        let got = t.users_with_position_in(&r);
+        let got = t.users_with_position_in(&r, &mut t.scratch());
         let mut want: Vec<u32> = us.iter().enumerate()
             .filter(|(_, u)| u.positions().iter().any(|p| r.contains(p)))
             .map(|(i, _)| i as u32)

@@ -40,9 +40,9 @@ pub fn is_delta(bytes: &[u8]) -> bool {
 }
 
 /// Computes the delta that turns `base` into `target`. Both must be valid
-/// v2 containers with the *same section structure* (equal section counts
-/// and tag sequences — i.e. the same shard manifest shape); the delta then
-/// carries every section whose frame bytes differ.
+/// containers of the current version with the *same section structure*
+/// (equal section counts and tag sequences — i.e. the same shard manifest
+/// shape); the delta then carries every section whose frame bytes differ.
 ///
 /// # Errors
 /// Any [`walk_frames`] error on either container, or

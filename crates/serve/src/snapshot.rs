@@ -3,17 +3,18 @@
 //! split into per-user-shard section groups so the serving layer can
 //! scatter work across shards and ship deltas at section granularity.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! ```text
 //! magic    [u8; 4] = b"MC2S"
-//! version  u32     = 2
+//! version  u32     = 3
 //! META section                         instance metadata + shard manifest
 //! per shard s in 0..n_shards, fixed order:
 //!     ISET section                     shard-local InfluenceSets CSR
 //!     IINV section                     shard-local InvertedIndex CSR
 //!     PBLK section                     shard-local PositionBlocks SoA
-//! IQTR section                         the global IQuad-tree
+//! IQTR section                         the global IQuad-tree (its
+//!                                      positions in Morton order)
 //! ```
 //!
 //! Every section is framed identically:
@@ -55,7 +56,7 @@ use std::ops::Range;
 /// File magic: "MC2S".
 pub const MAGIC: [u8; 4] = *b"MC2S";
 /// Current container version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Container header length (magic + version) preceding the first section.
 pub(crate) const HEADER_LEN: usize = 8;
 /// Section frame header length (tag + len + crc) preceding each payload.
@@ -141,7 +142,7 @@ pub(crate) fn walk_frames(bytes: &[u8]) -> Result<Vec<Frame>, SnapshotError> {
     Ok(frames)
 }
 
-/// The section tag the fixed v2 layout expects at position `i` of a
+/// The section tag the fixed layout expects at position `i` of a
 /// container holding `n_sections` sections.
 pub(crate) fn expected_tag(i: usize, n_sections: usize) -> &'static str {
     if i == 0 {
@@ -153,7 +154,7 @@ pub(crate) fn expected_tag(i: usize, n_sections: usize) -> &'static str {
     }
 }
 
-/// Walks the frames and checks the tag sequence against the v2 layout
+/// Walks the frames and checks the tag sequence against the fixed layout
 /// (META first, whole shard trios, IQTR last) without decoding any
 /// payload.
 pub(crate) fn check_layout(bytes: &[u8]) -> Result<Vec<Frame>, SnapshotError> {

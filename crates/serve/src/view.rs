@@ -46,7 +46,8 @@ pub struct LoadedSnapshot {
 }
 
 impl LoadedSnapshot {
-    /// Validates `bytes` as a v2 container and indexes its sections.
+    /// Validates `bytes` as a container of the current version and indexes
+    /// its sections.
     ///
     /// Verifies everything a full decode verifies about the *query plane*
     /// — framing, CRCs, META invariants, every CSR invariant, cross-array

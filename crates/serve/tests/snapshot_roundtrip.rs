@@ -108,6 +108,15 @@ fn version_and_magic_skew_are_specific_errors() {
         Err(SnapshotError::UnsupportedVersion(99))
     ));
 
+    // A v2 container (node-based IQTR payload) gets the same typed error:
+    // there is no second decoder.
+    let mut v2 = bytes.clone();
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    assert!(matches!(
+        Snapshot::from_bytes(&v2),
+        Err(SnapshotError::UnsupportedVersion(2))
+    ));
+
     let mut wrong_magic = bytes.clone();
     wrong_magic[..4].copy_from_slice(b"ELF\x7f");
     assert!(matches!(
@@ -191,13 +200,31 @@ fn pinned_problem() -> Problem<Sigmoid> {
     .with_block_size(4)
 }
 
-/// The built artifacts are pinned byte for byte. Block order never changes
-/// a verification decision, so a wrong but self-consistent position order
-/// (Morton codes in the block layout, the IQuad-tree's leaf order) passes
-/// every equivalence suite; only the PBLK/IQTR bytes and `blocks_opened`
-/// show it. The pinned values were produced by builders keying through the
-/// scalar `morton_code`, so they also hold the batch keys to that oracle
-/// end to end.
+/// One pinned section: tag, payload length, payload CRC-32.
+type Section = (&'static str, u64, u32);
+
+/// `(tag, payload length, payload CRC-32)` of every section, in order.
+fn sections(bytes: &[u8]) -> Vec<(String, u64, u32)> {
+    let mut out = Vec::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let tag = String::from_utf8_lossy(&bytes[at..at + 4]).into_owned();
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
+        let payload = &bytes[at + 16..at + 16 + len as usize];
+        out.push((tag, len, crc32(payload)));
+        at += 16 + len as usize;
+    }
+    out
+}
+
+/// The built artifacts are pinned section by section. Block order never
+/// changes a verification decision, so a wrong but self-consistent position
+/// order (Morton codes in the block layout, the IQuad-tree's position order)
+/// passes every equivalence suite; only the PBLK/IQTR bytes and
+/// `blocks_opened` show it. The pinned values were produced by builders
+/// keying through the scalar `morton_code`, so they also hold the batch keys
+/// to that oracle end to end. Pinning each section on its own keeps a
+/// change to one artifact from moving the pins of the others.
 #[test]
 fn built_artifacts_match_their_pinned_bytes() {
     let problem = pinned_problem();
@@ -214,11 +241,43 @@ fn built_artifacts_match_their_pinned_bytes() {
         blocks_opened: 55,
         pf_fallbacks: 0,
     };
-    for (shards, len, crc) in [(1, 117_171, 0x826c_ccb1), (2, 117_375, 0x01bd_f832)] {
+    #[rustfmt::skip]
+    let pinned: [(usize, &[Section]); 2] = [
+        (1, &[
+            ("META", 103, 0xd408_5af3),
+            ("ISET", 424, 0xd295_0cf5),
+            ("IINV", 368, 0xab05_17f8),
+            ("PBLK", 28_804, 0x2747_b6bd),
+            ("IQTR", 22_368, 0x0ff8_e32a),
+        ]),
+        (2, &[
+            ("META", 107, 0xcd09_e0fe),
+            ("ISET", 252, 0xb03a_83be),
+            ("IINV", 196, 0xfc7b_0958),
+            ("PBLK", 13_696, 0x27b0_2cd6),
+            ("ISET", 248, 0xeb8f_d1ad),
+            ("IINV", 192, 0x6817_77ac),
+            ("PBLK", 15_164, 0xff2f_7ada),
+            ("IQTR", 22_368, 0x0ff8_e32a),
+        ]),
+    ];
+    for (shards, want) in pinned {
         let (snap, stats) = Snapshot::build_sharded("pin", &problem, 1.0, 1, shards);
         let bytes = snap.to_bytes();
-        assert_eq!(bytes.len(), len, "{shards} shard(s): container length");
-        assert_eq!(crc32(&bytes), crc, "{shards} shard(s): container CRC-32");
+        assert_eq!(&bytes[4..8], &3u32.to_le_bytes(), "container version");
+        let got = sections(&bytes);
+        let want: Vec<(String, u64, u32)> = want
+            .iter()
+            .map(|&(tag, len, crc)| (tag.to_string(), len, crc))
+            .collect();
+        assert!(
+            got == want,
+            "{shards} shard(s): sections moved; recomputed rows:\n{}",
+            got.iter()
+                .map(|(tag, len, crc)| format!("({tag:?}, {len}, {crc:#010x}),"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
         assert_eq!(stats, pinned_stats, "{shards} shard(s): prune stats");
     }
 }
