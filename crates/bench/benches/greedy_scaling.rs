@@ -32,13 +32,7 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("inverted-build", threads),
-            &threads,
-            |b, &t| b.iter(|| InvertedIndex::build(&sets, t)),
-        );
-    }
+    group.bench_function("inverted-build", |b| b.iter(|| InvertedIndex::build(&sets)));
     group.finish();
 }
 

@@ -142,7 +142,7 @@ pub fn update(ctx: &Ctx) -> ExperimentResult {
         );
         assert_eq!(
             engine.inverted().to_bytes(),
-            InvertedIndex::build(&fresh, 1).to_bytes(),
+            InvertedIndex::build(&fresh).to_bytes(),
             "{name}: inverted CSRs diverged"
         );
         let (sol, _) = engine.solve(problem.k);

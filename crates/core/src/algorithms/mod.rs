@@ -173,7 +173,7 @@ fn select_sets<M: CompetitionModel + Sync>(
         return (solution, stats);
     }
     let selector = resolve_selector(selector, sets, k);
-    let inverted = (selector == Selector::Decremental).then(|| InvertedIndex::build(sets, threads));
+    let inverted = (selector == Selector::Decremental).then(|| InvertedIndex::build(sets));
     let rows = [SetRows {
         sets,
         inverted: inverted.as_ref(),

@@ -6,15 +6,10 @@
 //! `Selector::Decremental`, reading it through [`crate::SetRows`]) needs
 //! to answer "which candidates lose this user?" every time a user
 //! becomes covered; the inverted CSR answers that in one contiguous slice
-//! read. Construction is one counting sort over the forward CSR and
-//! parallelises by candidate chunks: each worker inverts its contiguous
-//! candidate range privately and the per-chunk partial CSRs are stitched
-//! back **in chunk order**. Candidate ids ascend within a chunk (the worker
-//! walks them in order) and across chunks (ranges are contiguous and
-//! ordered), so every user's stitched candidate list is sorted and the
-//! whole structure is bit-identical for any thread count.
+//! read. Construction is one serial counting sort over the forward CSR.
+//! Candidates are walked in ascending order, so every user's candidate
+//! list comes out sorted.
 
-use crate::parallel::map_chunks;
 use crate::InfluenceSets;
 use mc2ls_geo::{ByteReader, ByteWriter, CodecError};
 
@@ -29,46 +24,15 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Inverts the forward CSR of `sets` across `threads` workers.
-    ///
-    /// # Panics
-    /// Panics when `threads == 0`.
-    pub fn build(sets: &InfluenceSets, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one worker thread");
+    /// Inverts the forward CSR of `sets` with one counting sort: count
+    /// each user's candidates, prefix-sum the counts into row pointers,
+    /// then scatter the candidate ids in ascending candidate order.
+    pub fn build(sets: &InfluenceSets) -> Self {
         let n_users = sets.n_users();
-        let n_cands = sets.n_candidates();
-
-        // Each worker counting-sorts its candidate chunk into a private
-        // partial CSR over the full user range.
-        let parts: Vec<(Vec<u32>, Vec<u32>)> = map_chunks(n_cands, threads, |range| {
-            let mut offs = vec![0u32; n_users + 1];
-            for c in range.clone() {
-                for &o in sets.omega(c) {
-                    offs[o as usize + 1] += 1;
-                }
-            }
-            for o in 0..n_users {
-                offs[o + 1] += offs[o];
-            }
-            let mut ids = vec![0u32; offs[n_users] as usize];
-            let mut cursor = offs[..n_users].to_vec();
-            for c in range {
-                for &o in sets.omega(c) {
-                    let slot = cursor[o as usize];
-                    // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
-                    ids[slot as usize] = c as u32;
-                    cursor[o as usize] = slot + 1;
-                }
-            }
-            (offs, ids)
-        });
-
-        // Stitch: per user, concatenate the chunk-local slices in chunk
-        // order. Chunked candidate ranges ascend, so the result is sorted.
         let mut offsets = vec![0u32; n_users + 1];
-        for (offs, _) in &parts {
-            for o in 0..n_users {
-                offsets[o + 1] += offs[o + 1] - offs[o];
+        for c in 0..sets.n_candidates() {
+            for &o in sets.omega(c) {
+                offsets[o as usize + 1] += 1;
             }
         }
         for o in 0..n_users {
@@ -76,13 +40,12 @@ impl InvertedIndex {
         }
         let mut cand_ids = vec![0u32; offsets[n_users] as usize];
         let mut cursor = offsets[..n_users].to_vec();
-        for (offs, ids) in &parts {
-            for o in 0..n_users {
-                let src = &ids[offs[o] as usize..offs[o + 1] as usize];
-                let dst = cursor[o] as usize;
-                cand_ids[dst..dst + src.len()].copy_from_slice(src);
-                // lint:allow(narrowing-cast): a CSR row is no longer than the total adjacency, which fits u32
-                cursor[o] += src.len() as u32;
+        for c in 0..sets.n_candidates() {
+            for &o in sets.omega(c) {
+                let slot = cursor[o as usize];
+                // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
+                cand_ids[slot as usize] = c as u32;
+                cursor[o as usize] = slot + 1;
             }
         }
         InvertedIndex { offsets, cand_ids }
@@ -192,7 +155,7 @@ mod tests {
 
     #[test]
     fn inverts_the_paper_example() {
-        let inv = InvertedIndex::build(&paper_sets(), 1);
+        let inv = InvertedIndex::build(&paper_sets());
         assert_eq!(inv.n_users(), 4);
         assert_eq!(inv.len(), 6);
         assert_eq!(inv.candidates_of(0), [0, 2]);
@@ -222,7 +185,7 @@ mod tests {
                 })
                 .collect();
             let sets = InfluenceSets::new(omega_c.clone(), vec![0; n_users]);
-            let inv = InvertedIndex::build(&sets, 1);
+            let inv = InvertedIndex::build(&sets);
             assert_eq!(inv.len(), sets.total_influences());
             for o in 0..n_users as u32 {
                 let want: Vec<u32> = (0..n_cands as u32)
@@ -234,36 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical() {
-        let mut seed = 7u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for _case in 0..10 {
-            let n_users = 1 + (next() % 60) as usize;
-            let n_cands = 1 + (next() % 25) as usize;
-            let omega_c: Vec<Vec<u32>> = (0..n_cands)
-                .map(|_| {
-                    let mut v: Vec<u32> = (0..n_users as u32).filter(|_| next() % 2 == 0).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            let sets = InfluenceSets::new(omega_c, vec![0; n_users]);
-            let serial = InvertedIndex::build(&sets, 1);
-            for threads in [2usize, 4, 7, 16] {
-                assert_eq!(serial, InvertedIndex::build(&sets, threads), "t={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn byte_codec_round_trips_and_rejects_corruption() {
-        let inv = InvertedIndex::build(&paper_sets(), 2);
+        let inv = InvertedIndex::build(&paper_sets());
         let bytes = inv.to_bytes();
         assert_eq!(InvertedIndex::from_bytes(&bytes).expect("round trip"), inv);
         for cut in 0..bytes.len() {
@@ -278,7 +213,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let sets = InfluenceSets::new(vec![vec![], vec![]], vec![0; 3]);
-        let inv = InvertedIndex::build(&sets, 4);
+        let inv = InvertedIndex::build(&sets);
         assert!(inv.is_empty());
         assert_eq!(inv.n_users(), 3);
         assert!(inv.candidates_of(2).is_empty());

@@ -344,7 +344,7 @@ mod tests {
             .into_iter()
             .enumerate()
             .map(|(s, local)| {
-                let inv = InvertedIndex::build(&local, 1);
+                let inv = InvertedIndex::build(&local);
                 (starts[s], local.to_bytes(), inv.to_bytes())
             })
             .collect()

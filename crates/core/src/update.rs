@@ -216,7 +216,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
             "sets/problem candidate count"
         );
         let counts = class_counts(&[owned_rows(&sets)], sets.n_candidates(), threads);
-        let inverted = InvertedIndex::build(&sets, threads);
+        let inverted = InvertedIndex::build(&sets);
         UpdateEngine {
             pf: problem.pf.clone(),
             tau: problem.tau,
@@ -420,27 +420,27 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
     /// Folds the override log and the tombstones back into flat CSRs:
     /// live slots are renumbered densely in slot order, the forward CSR is
     /// rebuilt from the current rows (already sorted — slots are walked in
-    /// ascending order), the inverted CSR is rebuilt across the engine's
-    /// worker threads and the count matrix narrows back to the canonical
-    /// class width. Returns `remap[old_slot] = new_id` (`u32::MAX` for
-    /// tombstones), or `None` when nothing changed since the last
-    /// compaction.
+    /// ascending order), the inverted CSR is rebuilt by one counting sort
+    /// and the count matrix narrows back to the canonical class width.
+    /// Surviving users move to their new slots; no trajectory is copied.
+    /// Returns `remap[old_slot] = new_id` (`u32::MAX` for tombstones), or
+    /// `None` when nothing changed since the last compaction.
     pub fn compact(&mut self) -> Option<Vec<u32>> {
         if !self.dirty {
             return None;
         }
         let n_old = self.users.len();
         let mut remap = vec![u32::MAX; n_old];
-        let mut users = Vec::with_capacity(n_old);
         let mut f_count = Vec::with_capacity(n_old);
         for (o, slot) in remap.iter_mut().enumerate() {
             if self.alive[o] {
                 // lint:allow(narrowing-cast): live count <= slot count, which fits the u32 id space
-                *slot = users.len() as u32;
-                users.push(self.users[o].clone());
+                *slot = f_count.len() as u32;
                 f_count.push(self.f_count[o]);
             }
         }
+        let mut alive = self.alive.iter();
+        self.users.retain(|_| alive.next() == Some(&true));
         let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.candidates.len()];
         for (o, &new_id) in remap.iter().enumerate() {
             if !self.alive[o] {
@@ -452,8 +452,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
             }
         }
         self.base = InfluenceSets::new(rows, f_count);
-        self.inverted = InvertedIndex::build(&self.base, self.threads);
-        self.users = users;
+        self.inverted = InvertedIndex::build(&self.base);
         self.alive = vec![true; self.users.len()];
         self.f_count = self.base.f_count.clone();
         self.overrides.clear();
@@ -738,6 +737,37 @@ mod tests {
             .unwrap();
         let remap = engine.compact().unwrap();
         assert_eq!(remap, vec![u32::MAX, 0, 1, 2]);
+        assert_eq!(engine.sets(), &rebuilt_sets(&engine, &problem));
+    }
+
+    #[test]
+    fn compaction_moves_untouched_users_without_copying() {
+        let problem = lattice_problem();
+        let mut engine = UpdateEngine::new(&problem, 1);
+        let before: Vec<*const Point> = engine
+            .users()
+            .iter()
+            .map(|u| u.positions().as_ptr())
+            .collect();
+        for step in [0.1, 0.2] {
+            let mut positions = engine.positions_of(0).unwrap().to_vec();
+            positions.push(Point::new(step, 0.0));
+            engine
+                .apply(UserUpdate::Move { user: 0, positions })
+                .unwrap();
+        }
+        engine
+            .apply(UserUpdate::Insert {
+                positions: vec![Point::new(5.2, 0.0)],
+            })
+            .unwrap();
+        engine.apply(UserUpdate::Delete { user: 1 }).unwrap();
+        let remap = engine.compact().unwrap();
+        assert_eq!(remap, vec![0, u32::MAX, 1, 2, 3]);
+        for old in [2usize, 3] {
+            let user = &engine.users()[remap[old] as usize];
+            assert_eq!(user.positions().as_ptr(), before[old], "user {old}");
+        }
         assert_eq!(engine.sets(), &rebuilt_sets(&engine, &problem));
     }
 

@@ -101,7 +101,7 @@ fn submodular_models_keep_the_greedy_family() {
     // same k sites as the model-dispatched rescan, not the oracle's
     // at-most-k semantics.
     let sets = mixed_sets();
-    let inverted = InvertedIndex::build(&sets, 1);
+    let inverted = InvertedIndex::build(&sets);
     let rows = [SetRows {
         sets: &sets,
         inverted: Some(&inverted),

@@ -39,7 +39,7 @@ fn build_sets(f_count: Vec<u32>, raw_lists: Vec<Vec<u32>>) -> InfluenceSets {
 /// `selector` through [`select`] over the owned sets as one shard, with an
 /// explicit `Model::Cumulative`.
 fn via_select(sets: &InfluenceSets, selector: Selector, k: usize, threads: usize) -> Solution {
-    let inverted = InvertedIndex::build(sets, threads);
+    let inverted = InvertedIndex::build(sets);
     let rows = [SetRows {
         sets,
         inverted: Some(&inverted),
@@ -57,7 +57,7 @@ fn via_select(sets: &InfluenceSets, selector: Selector, k: usize, threads: usize
 /// against the rescan reference. Returns the reference solution.
 fn assert_all_selectors_identical(sets: &InfluenceSets, k: usize) -> Solution {
     // Sanitize the derived structures the selectors run on.
-    InvertedIndex::build(sets, 3).validate();
+    InvertedIndex::build(sets).validate();
     let (reference, _) = run_selector(Selector::Greedy, sets, k, 1);
     sets.covered_by(&reference.selected).validate();
     let ref_bits: Vec<u64> = reference

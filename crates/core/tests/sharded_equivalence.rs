@@ -45,7 +45,7 @@ fn shard_payloads(sets: &InfluenceSets, n_shards: usize) -> Vec<(u32, Vec<u8>, V
         .into_iter()
         .enumerate()
         .map(|(s, local)| {
-            let inv = InvertedIndex::build(&local, 1);
+            let inv = InvertedIndex::build(&local);
             (starts[s], local.to_bytes(), inv.to_bytes())
         })
         .collect()

@@ -130,7 +130,7 @@ fn gather_solution(
         .into_iter()
         .enumerate()
         .map(|(s, local)| {
-            let inv = InvertedIndex::build(&local, 1);
+            let inv = InvertedIndex::build(&local);
             (starts[s], local.to_bytes(), inv.to_bytes())
         })
         .collect();
@@ -175,7 +175,7 @@ proptest! {
             // indexes serialise to the same bytes.
             let fresh = rebuild(&engine, &problem, threads);
             prop_assert_eq!(engine.sets(), &fresh, "threads={}", threads);
-            let fresh_inv = InvertedIndex::build(&fresh, threads);
+            let fresh_inv = InvertedIndex::build(&fresh);
             prop_assert_eq!(
                 engine.inverted().to_bytes(),
                 fresh_inv.to_bytes(),

@@ -1,5 +1,5 @@
 use mc2ls_geo::{Point, Rect};
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Identifier of a moving user: its index in the problem's user vector.
 pub type UserId = u32;
@@ -10,9 +10,14 @@ pub type UserId = u32;
 /// Users always have at least one position; the paper trims single-position
 /// users from the datasets, but the model and all algorithms remain correct
 /// for `r = 1`, so construction only rejects the empty case.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The positions are immutable and shared: a clone bumps a reference
+/// count instead of copying the trajectory, so the update engine, a live
+/// epoch's plane and a problem can all hold the same user. Changing a
+/// trajectory means building a new user.
+#[derive(Debug, Clone)]
 pub struct MovingUser {
-    positions: Vec<Point>,
+    positions: Arc<[Point]>,
     mbr: Rect,
 }
 
@@ -26,7 +31,10 @@ impl MovingUser {
         let mbr =
             // lint:allow(panic-path): the documented panic contract of MovingUser::new (empty positions)
             Rect::bounding(&positions).expect("a moving user must have at least one position");
-        MovingUser { positions, mbr }
+        MovingUser {
+            positions: positions.into(),
+            mbr,
+        }
     }
 
     /// The user's recorded positions.
@@ -108,5 +116,13 @@ mod tests {
             *s.mbr(),
             Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0))
         );
+    }
+
+    #[test]
+    fn clones_share_their_positions() {
+        let u = MovingUser::new(vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)]);
+        let v = u.clone();
+        assert_eq!(v.positions().as_ptr(), u.positions().as_ptr());
+        assert_eq!(v.mbr(), u.mbr());
     }
 }

@@ -118,7 +118,6 @@ pub struct LiveUpdater {
     engine: UpdateEngine<Sigmoid>,
     meta: SnapshotMeta,
     pf: Sigmoid,
-    threads: usize,
     n_shards: usize,
 }
 
@@ -154,7 +153,6 @@ impl LiveUpdater {
             engine,
             meta,
             pf: problem.pf,
-            threads,
             n_shards,
         };
         (live, snapshot, prune)
@@ -196,13 +194,14 @@ impl LiveUpdater {
             self.engine.users(),
             &self.pf,
             self.engine.sets(),
-            self.threads,
+            1,
             self.n_shards,
         );
         Ok((report, snapshot))
     }
 
-    /// The current (compacted) state's query plane.
+    /// The current (compacted) state's query plane. Its users share their
+    /// positions with the engine's: the copy holds handles only.
     pub(crate) fn plane(&self) -> EpochPlane {
         let users = self.engine.users().to_vec();
         let sets = self.engine.sets();
@@ -211,7 +210,7 @@ impl LiveUpdater {
             .clone()
             .reshaped(&users, sets.n_candidates(), self.n_shards);
         EpochPlane {
-            shards: index_shards(sets, &meta.shard_starts, self.threads).collect(),
+            shards: index_shards(sets, &meta.shard_starts).collect(),
             meta,
             users,
             blocks: OnceLock::new(),
@@ -376,6 +375,42 @@ fn shards_of(touched: &[u32], starts: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mc2ls_core::Problem;
+
+    #[test]
+    fn the_plane_shares_the_engines_positions() {
+        let users = (0..6)
+            .map(|i| {
+                let x = f64::from(i);
+                MovingUser::new(vec![Point::new(x, 0.0), Point::new(x, 0.5)])
+            })
+            .collect();
+        let candidates = vec![Point::new(1.0, 0.2), Point::new(4.0, 0.2)];
+        let facilities = vec![Point::new(2.5, 0.0)];
+        let problem = Problem::new(
+            users,
+            facilities,
+            candidates,
+            1,
+            0.5,
+            Sigmoid::paper_default(),
+        );
+        let (mut live, snapshot, _) = LiveUpdater::new("t", &problem, 2.0, 1, 2);
+        let checkin = WireEvent {
+            op: "checkin".to_string(),
+            user: 2,
+            xs: vec![2.0],
+            ys: vec![0.1],
+        };
+        let (_, plane) = live
+            .advance(&[checkin], &snapshot.meta.shard_starts)
+            .expect("valid batch");
+        let engine_users = live.engine().users();
+        assert_eq!(plane.users.len(), engine_users.len());
+        for (mine, theirs) in plane.users.iter().zip(engine_users) {
+            assert_eq!(mine.positions().as_ptr(), theirs.positions().as_ptr());
+        }
+    }
 
     #[test]
     fn shard_mapping_clamps_and_dedups() {

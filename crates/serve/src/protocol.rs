@@ -18,7 +18,7 @@ use mc2ls_core::algorithms::Selector;
 use mc2ls_core::{GatherStats, PruneStats, SelectionStats, Solution};
 use mc2ls_influence::Model;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard cap on a frame's payload length (64 MiB).
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
@@ -269,27 +269,60 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError>
 ///
 /// # Errors
 /// [`ServeError::FrameTooLarge`] on an implausible length prefix,
+/// [`ServeError::ConnectionClosed`] when the peer closes mid-frame,
 /// [`ServeError::Io`] on socket failures (including read timeouts, which
 /// surface as `WouldBlock`/`TimedOut`).
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
+    read_frame_while(r, || false)
+}
+
+/// [`read_frame`] for a socket with a read timeout. A timeout before the
+/// frame's first byte is returned at once: it ends an idle wait. A timeout
+/// after it keeps the bytes read so far and asks `keep_waiting` whether to
+/// read on, so a frame that arrives in pieces stays whole; the timeout is
+/// returned only when `keep_waiting` says no.
+fn read_frame_while(
+    r: &mut impl Read,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> Result<Option<Vec<u8>>, ServeError> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(ServeError::Io(e)),
+    if !fill(r, &mut len_buf, false, &mut keep_waiting)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME_LEN {
         return Err(ServeError::FrameTooLarge(u64::from(len)));
     }
     let mut payload = vec![0u8; len as usize];
-    match r.read_exact(&mut payload) {
-        Ok(()) => Ok(Some(payload)),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            Err(ServeError::ConnectionClosed)
+    fill(r, &mut payload, true, &mut keep_waiting)?;
+    Ok(Some(payload))
+}
+
+/// Fills `buf` from `r`. Interrupted reads are retried; so are timeouts
+/// once the frame has begun (`begun`, or a byte of `buf` was read) and
+/// `keep_waiting` allows. `Ok(false)` when the peer closed before the frame
+/// began.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    begun: bool,
+    keep_waiting: &mut impl FnMut() -> bool,
+) -> Result<bool, ServeError> {
+    let mut at = 0;
+    while let Some(rest) = buf.get_mut(at..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
+            Ok(0) if !begun && at == 0 => return Ok(false),
+            Ok(0) => return Err(ServeError::ConnectionClosed),
+            Ok(n) => at += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if (begun || at > 0)
+                    && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    && keep_waiting() => {}
+            Err(e) => return Err(ServeError::Io(e)),
         }
-        Err(e) => Err(ServeError::Io(e)),
     }
+    Ok(true)
 }
 
 /// Serialises `msg` to JSON and writes it as one frame.
@@ -309,7 +342,21 @@ pub fn send_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Ser
 /// [`ServeError::Protocol`] when the payload is not valid JSON of shape
 /// `T`; all [`read_frame`] errors otherwise.
 pub fn recv_message<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, ServeError> {
-    let Some(payload) = read_frame(r)? else {
+    recv_message_while(r, || false)
+}
+
+/// [`recv_message`] for a socket with a read timeout: a timeout ends only
+/// the wait for a frame's first byte. Once the frame has begun, reading
+/// goes on through timeouts for as long as `keep_waiting` returns `true`.
+///
+/// # Errors
+/// As [`recv_message`]; a timeout mid-frame is returned only after
+/// `keep_waiting` returned `false`, and the partial frame is lost.
+pub fn recv_message_while<T: Deserialize>(
+    r: &mut impl Read,
+    keep_waiting: impl FnMut() -> bool,
+) -> Result<Option<T>, ServeError> {
+    let Some(payload) = read_frame_while(r, keep_waiting)? else {
         return Ok(None);
     };
     let text = std::str::from_utf8(&payload)
@@ -420,6 +467,64 @@ mod tests {
             read_frame(&mut &buf[..]),
             Err(ServeError::FrameTooLarge(_))
         ));
+    }
+
+    /// Serves its chunks one `read` at a time; an empty chunk is a read
+    /// timeout.
+    struct Stalling(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(chunk) if chunk.is_empty() => Err(ErrorKind::WouldBlock.into()),
+                Some(chunk) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(chunk[n..].to_vec());
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_timeout_after_the_prefix_keeps_the_frame() {
+        let mut frame = Vec::new();
+        send_message(&mut frame, &Request::Ping).expect("frame");
+        let (prefix, payload) = frame.split_at(4);
+        let chunks = || {
+            Stalling(
+                [prefix.to_vec(), vec![], vec![], payload.to_vec()]
+                    .into_iter()
+                    .collect(),
+            )
+        };
+        let mut polls = 0;
+        let got: Option<Request> = recv_message_while(&mut chunks(), || {
+            polls += 1;
+            true
+        })
+        .expect("the frame survives the stalls");
+        assert!(matches!(got, Some(Request::Ping)));
+        assert_eq!(polls, 2);
+
+        // When the caller stops waiting, the timeout surfaces.
+        let stopped = recv_message_while::<Request>(&mut chunks(), || false);
+        assert!(
+            matches!(&stopped, Err(ServeError::Io(e)) if e.kind() == ErrorKind::WouldBlock),
+            "{stopped:?}"
+        );
+
+        // A timeout before the first byte is an idle poll: returned at
+        // once, without asking.
+        let mut idle = Stalling([vec![], frame.clone()].into_iter().collect());
+        let first = recv_message_while::<Request>(&mut idle, || panic!("not asked"));
+        assert!(matches!(first, Err(ServeError::Io(_))));
+        let second: Option<Request> = recv_message_while(&mut idle, || false).expect("frame");
+        assert!(matches!(second, Some(Request::Ping)));
     }
 
     #[test]

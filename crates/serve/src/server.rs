@@ -40,7 +40,7 @@ use crate::error::ServeError;
 use crate::live::LiveUpdater;
 use crate::metrics::Metrics;
 use crate::protocol::{
-    recv_message, send_message, ProposeRequest, QueryAnswer, QueryRequest, Request, Response,
+    recv_message_while, send_message, ProposeRequest, QueryAnswer, QueryRequest, Request, Response,
     StatsReport, WireEvent,
 };
 use crate::{delta, SnapshotError};
@@ -347,7 +347,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let mut deadline = Instant::now() + shared.config.idle_timeout;
     loop {
-        let request: Request = match recv_message(&mut stream) {
+        // A read timeout between frames is an idle poll. Inside a frame it
+        // must not drop the bytes already read, so the read goes on until
+        // the frame completes, shutdown is set or the deadline passes; the
+        // last two then end the connection below.
+        let keep_waiting = || !shared.shutdown.load(Ordering::Acquire) && Instant::now() < deadline;
+        let request: Request = match recv_message_while(&mut stream, keep_waiting) {
             Ok(Some(req)) => {
                 deadline = Instant::now() + shared.config.idle_timeout;
                 req

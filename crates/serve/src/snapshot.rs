@@ -367,15 +367,14 @@ impl SnapshotMeta {
 }
 
 /// `sets` split by the shard manifest `starts` ([`split_sets`]), each
-/// shard with its inverted CSR built over `threads` workers: the query
-/// plane of a snapshot or a live epoch.
+/// shard with its inverted CSR: the query plane of a snapshot or a live
+/// epoch.
 pub(crate) fn index_shards(
     sets: &InfluenceSets,
     starts: &[u32],
-    threads: usize,
 ) -> impl Iterator<Item = (InfluenceSets, InvertedIndex)> {
-    split_sets(sets, starts).into_iter().map(move |local| {
-        let inverted = InvertedIndex::build(&local, threads);
+    split_sets(sets, starts).into_iter().map(|local| {
+        let inverted = InvertedIndex::build(&local);
         (local, inverted)
     })
 }
@@ -479,18 +478,19 @@ impl Snapshot {
     /// batch plus this.
     ///
     /// Zero PF verification evaluations run here; the IQuad-tree build only
-    /// derives its η tables from the PF.
+    /// derives its η tables from the PF. Every step is serial, so
+    /// `_threads` is unused; it stays for the existing callers.
     pub fn assemble(
         meta: SnapshotMeta,
         users: &[MovingUser],
         pf: &Sigmoid,
         sets: &InfluenceSets,
-        threads: usize,
+        _threads: usize,
         n_shards: usize,
     ) -> Snapshot {
         assert_eq!(sets.n_users(), users.len(), "sets/users shape mismatch");
         let meta = meta.reshaped(users, sets.n_candidates(), n_shards);
-        let shards: Vec<ShardArtifacts> = index_shards(sets, &meta.shard_starts, threads)
+        let shards: Vec<ShardArtifacts> = index_shards(sets, &meta.shard_starts)
             .zip(shard_blocks(users, &meta))
             .map(|((sets, inverted), blocks)| ShardArtifacts {
                 sets,

@@ -9,6 +9,7 @@ use mc2ls_geo::Point;
 use mc2ls_influence::{Model, MovingUser, Sigmoid};
 use mc2ls_serve::{Client, QueryEngine, QueryRequest, ServeError, Server, ServerConfig, Snapshot};
 use rand::prelude::*;
+use std::io::Write;
 use std::time::Duration;
 
 fn random_problem(seed: u64, n_users: usize, n_cands: usize) -> Problem<Sigmoid> {
@@ -450,24 +451,71 @@ fn stalled_connections_hit_the_request_deadline() {
     );
     let addr = server.addr().to_string();
 
-    // Open a connection and send nothing.
-    let mut stalled = std::net::TcpStream::connect(&addr).expect("connect");
-    let notice: mc2ls_serve::Response = mc2ls_serve::protocol::recv_message(&mut stalled)
-        .expect("deadline notice")
-        .expect("a frame, not EOF");
-    match notice {
-        mc2ls_serve::Response::Error { kind, .. } => assert_eq!(kind, "timeout"),
-        other => panic!("expected a timeout error, got {other:?}"),
+    // One connection sends nothing; another sends a frame's length
+    // prefix and then stalls past the deadline.
+    let silent = Vec::new();
+    let prefix = ping_frame()[..4].to_vec();
+    for sent in [silent, prefix] {
+        let mut stalled = std::net::TcpStream::connect(&addr).expect("connect");
+        stalled.write_all(&sent).expect("send");
+        let notice: mc2ls_serve::Response = mc2ls_serve::protocol::recv_message(&mut stalled)
+            .expect("deadline notice")
+            .expect("a frame, not EOF");
+        match notice {
+            mc2ls_serve::Response::Error { kind, .. } => assert_eq!(kind, "timeout"),
+            other => panic!("expected a timeout error, got {other:?}"),
+        }
+        // After the notice the server closes the connection.
+        let eof = mc2ls_serve::protocol::read_frame(&mut stalled).expect("clean close");
+        assert!(
+            eof.is_none(),
+            "connection should be closed after the notice"
+        );
     }
-    // After the notice the server closes the connection.
-    let eof = mc2ls_serve::protocol::read_frame(&mut stalled).expect("clean close");
-    assert!(
-        eof.is_none(),
-        "connection should be closed after the notice"
-    );
 
     // The freed worker serves a live client normally.
     let mut client = connect(&server);
     client.ping().expect("worker available again");
+    server.shutdown();
+}
+
+/// One Ping request as it goes on the wire: length prefix, then payload.
+fn ping_frame() -> Vec<u8> {
+    let mut frame = Vec::new();
+    mc2ls_serve::protocol::send_message(&mut frame, &mc2ls_serve::Request::Ping).expect("frame");
+    frame
+}
+
+/// A read timeout that fires between a frame's length prefix and its
+/// payload neither loses the prefix nor the connection.
+#[test]
+fn a_payload_that_arrives_after_a_read_timeout_is_still_answered() {
+    let problem = random_problem(82, 25, 8);
+    let config = ServerConfig {
+        workers: 1,
+        poll_interval: Duration::from_millis(20),
+        ..ServerConfig::default()
+    };
+    let pause = 3 * config.poll_interval;
+    let server = start_server(&problem, config);
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let expect_pong = |raw: &mut std::net::TcpStream, what: &str| {
+        let reply: mc2ls_serve::Response = mc2ls_serve::protocol::recv_message(raw)
+            .expect("a reply")
+            .expect("a frame, not EOF");
+        assert!(
+            matches!(reply, mc2ls_serve::Response::Pong),
+            "{what}: {reply:?}"
+        );
+    };
+    let frame = ping_frame();
+    raw.write_all(&frame[..4]).expect("prefix");
+    std::thread::sleep(pause);
+    raw.write_all(&frame[4..]).expect("payload");
+    expect_pong(&mut raw, "the slow frame");
+    raw.write_all(&frame).expect("second ping");
+    expect_pong(&mut raw, "the next frame on the same connection");
     server.shutdown();
 }
