@@ -1,11 +1,11 @@
-//! Index-operation micro-benchmarks beyond Table II: range-query and
-//! nearest-query throughput of every index, and IQuad-tree traversal.
+//! Index-operation micro-benchmarks beyond Table II: R-tree range-query and
+//! nearest-query throughput, and IQuad-tree traversal.
 
 #[path = "common.rs"]
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::index::{GridIndex, IQuadTree, KdTree, QuadTree, RTree};
+use mc2ls::index::{IQuadTree, RTree};
 use mc2ls::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -29,30 +29,15 @@ fn bench(c: &mut Criterion) {
     );
 
     // Range-query throughput over the full position set.
-    let rtree = RTree::bulk_load(positions.clone());
-    let quad = QuadTree::build(positions.clone());
-    let grid = GridIndex::build(positions.clone(), 2.0);
-    let kd = KdTree::build(positions.clone());
+    let rtree = RTree::bulk_load(positions);
     group.bench_function(BenchmarkId::new("range", "RTree"), |b| {
         b.iter(|| rtree.range_rect(&window))
-    });
-    group.bench_function(BenchmarkId::new("range", "QuadTree"), |b| {
-        b.iter(|| quad.range_rect(&window))
-    });
-    group.bench_function(BenchmarkId::new("range", "Grid"), |b| {
-        b.iter(|| grid.range_rect(&window))
-    });
-    group.bench_function(BenchmarkId::new("range", "KdTree"), |b| {
-        b.iter(|| kd.range_rect(&window))
     });
 
     // Nearest-query throughput.
     let probe = extent.center();
     group.bench_function(BenchmarkId::new("nearest", "RTree"), |b| {
         b.iter(|| rtree.nearest(&probe))
-    });
-    group.bench_function(BenchmarkId::new("nearest", "KdTree"), |b| {
-        b.iter(|| kd.nearest(&probe))
     });
 
     // IQuad-tree traverse over 64 rotating probes with one scratch, as a

@@ -1,11 +1,10 @@
-//! Table II bench: index construction — IQuad-tree over users vs R-tree,
-//! quad-tree, and grid over sites.
+//! Table II bench: index construction — IQuad-tree over users vs R-tree
+//! over sites.
 
 #[path = "common.rs"]
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::index::{GridIndex, KdTree, QuadTree};
 use mc2ls::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -35,15 +34,6 @@ fn bench(c: &mut Criterion) {
                 }
                 t
             })
-        });
-        group.bench_with_input(BenchmarkId::new("QuadTree", name), &sites, |b, s| {
-            b.iter(|| QuadTree::build(s.clone()))
-        });
-        group.bench_with_input(BenchmarkId::new("Grid", name), &sites, |b, s| {
-            b.iter(|| GridIndex::build(s.clone(), 2.0))
-        });
-        group.bench_with_input(BenchmarkId::new("KdTree", name), &sites, |b, s| {
-            b.iter(|| KdTree::build(s.clone()))
         });
     }
     group.finish();

@@ -2,16 +2,15 @@
 //! (`influences`) vs. the blocked kernels on the full candidate × user
 //! workload at paper-default τ. The blocked kernel is swept over block
 //! sizes (lane/fast-PF variant) and then A/B'd at the default size against
-//! its exact-`exp` twin (`influences_blocked_exact`), the per-position
-//! scalar walk (`influences_blocked_scalar`), and the Hilbert block
-//! ordering. Block construction is benchmarked separately — it is a
-//! once-per-problem cost, while the decision kernels run per pair.
+//! its exact-`exp` twin (`influences_blocked_exact`). Block construction is
+//! benchmarked separately — it is a once-per-problem cost, while the
+//! decision kernels run per pair.
 
 #[path = "common.rs"]
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::influence::{influences_blocked_exact, influences_blocked_scalar};
+use mc2ls::influence::influences_blocked_exact;
 use mc2ls::prelude::*;
 use std::hint::black_box;
 
@@ -68,39 +67,28 @@ fn bench_verify_kernels(c: &mut Criterion) {
         });
     }
 
-    // The lane kernel's exact-exp twin, the scalar reference walk, and the
-    // Hilbert ordering, all at the default block size — same decisions,
-    // different cost profiles.
-    type Kernel = fn(&Sigmoid, &Point, &PositionBlocks, u32, f64, &mut BlockScratch) -> bool;
+    // The lane kernel's exact-exp twin at the default block size — same
+    // decisions, no fast-PF path.
     let default_blocks = PositionBlocks::build(&problem.users, DEFAULT_BLOCK_SIZE);
-    let hilbert_blocks =
-        PositionBlocks::build_ordered(&problem.users, DEFAULT_BLOCK_SIZE, BlockOrdering::Hilbert);
-    let variants: [(&str, Kernel, &PositionBlocks); 3] = [
-        ("blocked_exact", influences_blocked_exact, &default_blocks),
-        ("blocked_scalar", influences_blocked_scalar, &default_blocks),
-        ("blocked_hilbert", influences_blocked, &hilbert_blocks),
-    ];
-    for (label, kernel, blocks) in variants {
-        group.bench_function(label, |b| {
-            let mut scratch = BlockScratch::new();
-            b.iter(|| {
-                let mut hits = 0u32;
-                for v in &problem.candidates {
-                    for o in 0..n_users as u32 {
-                        hits += u32::from(kernel(
-                            &problem.pf,
-                            black_box(v),
-                            blocks,
-                            o,
-                            problem.tau,
-                            &mut scratch,
-                        ));
-                    }
+    group.bench_function("blocked_exact", |b| {
+        let mut scratch = BlockScratch::new();
+        b.iter(|| {
+            let mut hits = 0u32;
+            for v in &problem.candidates {
+                for o in 0..n_users as u32 {
+                    hits += u32::from(influences_blocked_exact(
+                        &problem.pf,
+                        black_box(v),
+                        &default_blocks,
+                        o,
+                        problem.tau,
+                        &mut scratch,
+                    ));
                 }
-                hits
-            })
-        });
-    }
+            }
+            hits
+        })
+    });
 
     for bs in BLOCK_SIZES {
         group.bench_with_input(BenchmarkId::new("build_blocks", bs), &bs, |b, &bs| {

@@ -53,16 +53,6 @@ pub fn table2(ctx: &Ctx) -> ExperimentResult {
         }
         let rtree_insert_time = t.elapsed();
 
-        // Extra comparators: kd-tree and quad-tree over the same sites.
-        let t = Instant::now();
-        let kd = mc2ls::index::KdTree::build(items.clone());
-        let kd_time = t.elapsed();
-        assert_eq!(kd.len(), 300);
-        let t = Instant::now();
-        let qt = mc2ls::index::QuadTree::build(items.clone());
-        let qt_time = t.elapsed();
-        assert_eq!(qt.len(), 300);
-
         rows.push(
             crate::RowBuilder::new()
                 .set("dataset", json!(name))
@@ -83,8 +73,6 @@ pub fn table2(ctx: &Ctx) -> ExperimentResult {
                         (rtree_insert_time.as_secs_f64() * 1e6 / 300.0 * 1000.0).round() / 1000.0
                     ),
                 )
-                .set("KdTree_ms", ms(kd_time))
-                .set("QuadTree_ms", ms(qt_time))
                 .build(),
         );
     }

@@ -3,8 +3,9 @@
 //! # Algorithm
 //!
 //! 1. **Extent.** Fold every position into a bounding rectangle and grow
-//!    it to a root [`Square`] (the same `QuadTree::new` convention the
-//!    index crate uses: side = max(width, height)).
+//!    it to a root [`Square`] on the rectangle's lower-left corner with
+//!    side = max(width, height), floored at `f64::MIN_POSITIVE` so a
+//!    single position still gets a positive side.
 //! 2. **Depth.** Halve the cell side until it is at most half the window
 //!    (`cell ≤ r/2`), capped at [`MAX_GRID_DEPTH`] levels. The window then
 //!    spans `s = ⌈r / cell⌉ ∈ {1..4}` cells per axis.
@@ -235,7 +236,8 @@ fn sweep(parts: &[(&[f64], &[f64])], cfg: &SweepConfig) -> Proposal {
         return Proposal::default();
     }
 
-    // 1. Root square over the data extent (QuadTree::new convention).
+    // 1. Root square over the data extent: lower-left corner, side
+    //    max(width, height), never zero.
     let extent: Extent = parts
         .iter()
         .flat_map(|(xs, ys)| xs.iter().zip(ys.iter()).map(|(&x, &y)| Point::new(x, y)))

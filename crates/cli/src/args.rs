@@ -9,39 +9,42 @@ usage: mc2ls <command> [flags]
 
 commands:
   generate   --preset california|new-york [--scale S] [--seed N] --out FILE
-  stats      --data FILE | --preset P [--scale S]
-  solve      --data FILE | --preset P [--scale S]
+  stats      --data FILE | --preset P [--scale S] [--seed N]
+  solve      --data FILE | --preset P [--scale S] [--seed N]
              [--candidates N] [--facilities M] [-k K] [--tau T]
              [--method baseline|kcifp|iqt|iqt-c|iqt-pino] [--threads T]
-             [--block-size auto|plain|B] [--pf-exact]
+             [--block-size auto|plain|B] [--site-seed N]
              [--model cumulative|logit] [--candidates-file FILE]
              [--selector rescan|celf|decremental|auto]
              [--svg FILE] [--json]
-  analyze    --data FILE | --preset P [--scale S]
+  analyze    --data FILE | --preset P [--scale S] [--seed N]
              [--candidates N] [--facilities M] [-k K] [--tau T]
-             [--block-size auto|plain|B] [--pf-exact]
+             [--block-size auto|plain|B] [--site-seed N]
+             [--model cumulative|logit] [--candidates-file FILE]
              [--selector rescan|celf|decremental|auto]
   convert    --checkins FILE --out FILE [--bounds ny|ca] [--min-positions N]
-  candgen    --data FILE | --preset P [--scale S] --window W --out FILE
-             [-m M] [--min-separation D] [--threads T] [--json]
+  candgen    --data FILE | --preset P [--scale S] [--seed N] --window W
+             --out FILE [-m M] [--min-separation D] [--threads T] [--json]
              (MaxRS-style sweep: proposes top-m candidate sites from the
              users' positions; solve/snapshot consume the emitted file
-             via --candidates-file)
-  snapshot   save --preset P | --data FILE [--scale S] [--candidates N]
-             [--facilities M] [-k K] [--tau T] [--block-size auto|plain|B]
-             [--model cumulative|logit] [--candidates-file FILE]
-             [--threads T] [--shards N] [--site-seed N]
-             [--leaf-diagonal D] --out FILE.mc2s
+             as their candidates file)
+  snapshot   save --preset P | --data FILE [--scale S] [--seed N]
+             [--candidates N] [--facilities M] [-k K] [--tau T]
+             [--block-size auto|plain|B] [--model cumulative|logit]
+             [--candidates-file FILE] [--threads T] [--shards N]
+             [--site-seed N] [--leaf-diagonal D] --out FILE.mc2s
              load --file FILE.mc2s  (verify + print metadata)
              diff --base FILE.mc2s --target FILE.mc2s --out FILE.mc2d
   serve      --snapshot FILE.mc2s [--addr HOST:PORT] [--workers N]
              [--threads T] [--shards N] [--cache N] [--max-pending N]
              [--coalesce-us N] [--port-file FILE]
-             or: --live --preset P | --data FILE [instance flags]
-             [--leaf-diagonal D]  (accepts the UPDATE verb, no snapshot)
-  query      --addr HOST:PORT [--candidates 1,2,3] [-k K]
-             [--selector rescan|celf|decremental|auto] [--tau T]
-             [--block-size auto|plain|B] [--pf-exact] [--json]
+             or: --live --preset P | --data FILE [--scale S] [--seed N]
+             [--candidates N] [--facilities M] [-k K] [--tau T]
+             [--block-size auto|plain|B] [--model cumulative|logit]
+             [--candidates-file FILE] [--site-seed N] [--leaf-diagonal D]
+             (accepts the UPDATE verb, no snapshot)
+  query      --addr HOST:PORT [--candidates 1,2,3] [-k K] [--tau T]
+             [--block-size auto|plain|B] [--json]
              [--model cumulative|logit]  (must match the snapshot)
              [--stats] [--reload FILE.mc2s] [--shutdown]
              [--propose --window W [-m M] [--min-separation D]]
@@ -75,6 +78,9 @@ pub enum ArgError {
     BadValue(String, String),
     /// A mandatory flag is absent.
     Required(String),
+    /// A flag the command does not admit: the command (with its action,
+    /// if any) and the flag as typed.
+    UnknownFlag(String, String),
 }
 
 impl fmt::Display for ArgError {
@@ -85,40 +91,76 @@ impl fmt::Display for ArgError {
             ArgError::Malformed(a) => write!(f, "malformed argument '{a}'"),
             ArgError::BadValue(k, v) => write!(f, "bad value '{v}' for --{k}"),
             ArgError::Required(k) => write!(f, "missing required flag --{k}"),
+            ArgError::UnknownFlag(c, a) => write!(f, "unknown flag '{a}' for '{c}'"),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
-const COMMANDS: &[&str] = &[
-    "generate", "stats", "solve", "analyze", "convert", "candgen", "snapshot", "serve", "query",
-    "update", "help",
-];
 /// Boolean flags that take no value.
-const SWITCHES: &[&str] = &["json", "stats", "shutdown", "pf-exact", "live", "propose"];
-/// Commands taking a positional action token before their flags, with the
-/// actions each admits.
-const ACTIONS: &[(&str, &[&str])] = &[("snapshot", &["save", "load", "diff"])];
+const SWITCHES: &[&str] = &["json", "stats", "shutdown", "live", "propose"];
+
+/// The dataset flags: a file, or a preset generated at a scale and seed.
+const DATASET: &[&str] = &["data", "preset", "scale", "seed"];
+/// The instance flags `solve`, `analyze`, `snapshot save` and `serve
+/// --live` read on top of [`DATASET`].
+#[rustfmt::skip]
+const INSTANCE: &[&str] = &[
+    "candidates", "facilities", "k", "tau", "site-seed", "block-size", "model", "candidates-file",
+];
+
+/// Every command, its action token (empty for commands that take none)
+/// and the flags it admits, in groups. The parser admits nothing else, and
+/// USAGE lists exactly these flags per command (a test checks both ways).
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, &[&[&str]])] = &[
+    ("generate", "", &[&["preset", "scale", "seed", "out"]]),
+    ("stats", "", &[DATASET]),
+    ("solve", "", &[DATASET, INSTANCE, &["method", "threads", "selector", "svg", "json"]]),
+    ("analyze", "", &[DATASET, INSTANCE, &["selector"]]),
+    ("convert", "", &[&["checkins", "out", "bounds", "min-positions"]]),
+    ("candgen", "", &[DATASET, &["window", "out", "m", "min-separation", "threads", "json"]]),
+    ("snapshot", "save", &[DATASET, INSTANCE, &["threads", "shards", "leaf-diagonal", "out"]]),
+    ("snapshot", "load", &[&["file"]]),
+    ("snapshot", "diff", &[&["base", "target", "out"]]),
+    ("serve", "", &[
+        &["snapshot", "addr", "workers", "threads", "shards", "cache", "max-pending",
+          "coalesce-us", "port-file", "live", "leaf-diagonal"],
+        DATASET,
+        INSTANCE,
+    ]),
+    ("query", "", &[&[
+        "addr", "candidates", "k", "tau", "block-size", "json", "model", "stats", "reload",
+        "shutdown", "propose", "window", "m", "min-separation",
+    ]]),
+    ("update", "", &[&[
+        "addr", "checkins", "bounds", "batch", "limit", "anchor-lat", "anchor-lon",
+    ]]),
+    ("help", "", &[]),
+];
 
 impl Parsed {
     /// Parses `args` (without the program name).
     pub fn parse(args: &[String]) -> Result<Parsed, ArgError> {
         let (command, mut rest) = args.split_first().ok_or(ArgError::Missing)?;
-        if !COMMANDS.contains(&command.as_str()) {
+        let rows: Vec<_> = COMMANDS.iter().filter(|(c, ..)| c == command).collect();
+        let Some(&&(_, first_action, first_flags)) = rows.first() else {
             return Err(ArgError::UnknownCommand(command.clone()));
-        }
-        let mut action = None;
-        if let Some((_, admitted)) = ACTIONS.iter().find(|(c, _)| c == command) {
+        };
+        let (action, admitted) = if first_action.is_empty() {
+            (None, first_flags)
+        } else {
             let (token, after) = rest
                 .split_first()
                 .ok_or_else(|| ArgError::Required("<action>".into()))?;
-            if !admitted.contains(&token.as_str()) {
-                return Err(ArgError::BadValue("<action>".into(), token.clone()));
-            }
-            action = Some(token.clone());
+            let &&(_, _, admitted) = rows
+                .iter()
+                .find(|(_, a, _)| a == token)
+                .ok_or_else(|| ArgError::BadValue("<action>".into(), token.clone()))?;
             rest = after;
-        }
+            (Some(token.clone()), admitted)
+        };
         let mut flags = BTreeMap::new();
         let mut it = rest.iter();
         while let Some(arg) = it.next() {
@@ -128,6 +170,13 @@ impl Parsed {
                 .ok_or_else(|| ArgError::Malformed(arg.clone()))?;
             if key.is_empty() {
                 return Err(ArgError::Malformed(arg.clone()));
+            }
+            if !admitted.iter().any(|group| group.contains(&key)) {
+                let label = match &action {
+                    Some(a) => format!("{command} {a}"),
+                    None => command.clone(),
+                };
+                return Err(ArgError::UnknownFlag(label, arg.clone()));
             }
             if SWITCHES.contains(&key) {
                 flags.insert(key.to_string(), "true".to_string());
@@ -174,6 +223,7 @@ impl Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn to_args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -257,5 +307,82 @@ mod tests {
             Parsed::parse(&to_args("serve stray")),
             Err(ArgError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn flags_outside_the_commands_table_are_rejected_by_name() {
+        for (line, flag) in [
+            ("solve --preset new-york --tua 0.3", "--tua"),
+            ("solve --pf-exact --json", "--pf-exact"),
+            ("query --addr 127.0.0.1:1 --selector celf", "--selector"),
+            ("snapshot load --file x.mc2s --tau 0.3", "--tau"),
+            ("help -k 3", "-k"),
+        ] {
+            match Parsed::parse(&to_args(line)) {
+                Err(e @ ArgError::UnknownFlag(_, _)) => {
+                    assert!(e.to_string().contains(&format!("'{flag}'")), "{line}: {e}")
+                }
+                other => panic!("{line}: {other:?}"),
+            }
+        }
+    }
+
+    fn takes_action(command: &str) -> bool {
+        COMMANDS
+            .iter()
+            .any(|&(c, a, _)| c == command && !a.is_empty())
+    }
+
+    /// The flags USAGE lists per command (and action), keyed like
+    /// `snapshot save`; parenthesised notes are prose, not flags.
+    fn usage_flags() -> BTreeMap<String, BTreeSet<String>> {
+        let mut listed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let (mut command, mut key, mut depth) = (String::new(), String::new(), 0i32);
+        let body = USAGE.split_once("commands:\n").expect("commands section").1;
+        for line in body.lines() {
+            let mut words = line.split_whitespace();
+            if !line.starts_with("   ") {
+                command = words.next().expect("command name").to_string();
+                key = command.clone();
+                if !takes_action(&command) {
+                    listed.entry(key.clone()).or_default();
+                }
+            }
+            for word in words {
+                let is_action = COMMANDS.iter().any(|&(c, a, _)| c == command && a == word);
+                if depth == 0 && is_action {
+                    key = format!("{command} {word}");
+                    listed.entry(key.clone()).or_default();
+                    continue;
+                }
+                let flag = word.trim_start_matches('[').trim_end_matches(']');
+                if depth == 0 && !word.contains('(') && flag.starts_with('-') {
+                    let name = flag.trim_start_matches('-');
+                    listed
+                        .entry(key.clone())
+                        .or_default()
+                        .insert(name.to_string());
+                }
+                depth += word.matches('(').count() as i32 - word.matches(')').count() as i32;
+            }
+        }
+        listed
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_flags_each_command_admits() {
+        let table: BTreeMap<String, BTreeSet<String>> = COMMANDS
+            .iter()
+            .map(|&(c, a, groups)| {
+                let key = if a.is_empty() {
+                    c.to_string()
+                } else {
+                    format!("{c} {a}")
+                };
+                let flags = groups.iter().flat_map(|g| g.iter()).map(|f| f.to_string());
+                (key, flags.collect())
+            })
+            .collect();
+        assert_eq!(usage_flags(), table);
     }
 }

@@ -90,8 +90,8 @@ fn parse_method(name: &str) -> Result<Method, ArgError> {
     })
 }
 
-/// Parses the `--selector` flag (shared by `solve`, `analyze` and
-/// `query`), `auto` when absent.
+/// Parses the `--selector` flag (shared by `solve` and `analyze`), `auto`
+/// when absent.
 fn parse_selector(parsed: &Parsed) -> Result<Selector, ArgError> {
     Ok(match parsed.get("selector").unwrap_or("auto") {
         "rescan" => Selector::Greedy,
@@ -170,7 +170,6 @@ fn problem_from_flags(parsed: &Parsed) -> Result<(Problem<Sigmoid>, String), Box
         Sigmoid::paper_default(),
     )
     .with_block_size(block_size)
-    .with_pf_exact(parsed.switch("pf-exact"))
     .with_model(model);
     Ok((problem, name))
 }
@@ -663,8 +662,10 @@ fn query_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
             None => meta.block_size,
             flag => parse_block_size(flag)?,
         },
-        pf_exact: parsed.switch("pf-exact"),
-        selector: parse_selector(parsed)?,
+        // The engine reads neither field: it runs no PF evaluation and one
+        // selection plan.
+        pf_exact: false,
+        selector: Selector::Auto,
         // Default to the model the snapshot was built to serve, so a plain
         // `query --addr …` works against any deployment; an explicit flag
         // is validated server-side against the snapshot META.
@@ -833,6 +834,31 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_fail_with_usage_instead_of_running() {
+        // A typo must not solve at the default it meant to override, and
+        // `--pf-exact --json` must not parse `--json` as the unknown flag's
+        // value and silently drop the JSON output.
+        let base = "solve --preset new-york --scale 0.05 --candidates 15 --facilities 20 -k 3";
+        for (line, flag) in [
+            (format!("{base} --tua 0.3"), "--tua"),
+            (format!("{base} --pf-exact --json"), "--pf-exact"),
+            (
+                "query --addr 127.0.0.1:1 --selector celf".to_string(),
+                "--selector",
+            ),
+        ] {
+            let (code, out) = call(&line);
+            assert_eq!(code, 2, "{line}: {out}");
+            assert!(
+                out.contains(&format!("unknown flag '{flag}'")),
+                "{line}: {out}"
+            );
+            assert!(out.contains("usage"), "{line}: {out}");
+            assert!(!out.contains("selected:"), "{line}: {out}");
+        }
+    }
+
+    #[test]
     fn generate_stats_solve_pipeline() {
         let data = tmp("pipeline.json");
         let (code, out) = call(&format!(
@@ -913,26 +939,6 @@ mod tests {
         let (code, out) = call(&format!("{base} --block-size eleven"));
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("bad value"), "{out}");
-    }
-
-    #[test]
-    fn pf_exact_flag_does_not_change_the_answer() {
-        // --pf-exact forces the exact exp path; the fast path's error-band
-        // fallback guarantees the same decisions, hence the same solution.
-        let base = "solve --preset new-york --scale 0.05 --candidates 15 --facilities 20 -k 3";
-        let (code, fast) = call(base);
-        assert_eq!(code, 0, "{fast}");
-        let (code, exact) = call(&format!("{base} --pf-exact"));
-        assert_eq!(code, 0, "{exact}");
-        let pick = |s: &str, prefix: &str| {
-            s.lines()
-                .find(|l| l.starts_with(prefix))
-                .unwrap()
-                .to_owned()
-        };
-        for prefix in ["selected", "cinf", "covered"] {
-            assert_eq!(pick(&fast, prefix), pick(&exact, prefix));
-        }
     }
 
     #[test]

@@ -30,12 +30,6 @@ pub struct Problem<PF: ProbabilityFunction = Sigmoid> {
     /// blocking and runs the plain per-position kernel. Decisions are
     /// identical in every mode, only the evaluation count differs.
     pub block_size: usize,
-    /// Force the exact `exp` path of the verification kernel, disabling the
-    /// bounded-error fast PF evaluation (the `--pf-exact` debugging/A-B
-    /// mode). Decisions are identical either way — the fast path falls back
-    /// to exact `exp` whenever a decision lands inside its error band — so
-    /// this only trades speed for directly-exact arithmetic.
-    pub pf_exact: bool,
     /// The competition model splitting a covered user's influence between
     /// the entrant and the user's incumbent facilities
     /// ([`mc2ls_influence::CompetitionModel`]). Defaults to the paper's
@@ -88,7 +82,6 @@ impl<PF: ProbabilityFunction> Problem<PF> {
             tau,
             pf,
             block_size: mc2ls_influence::BLOCK_SIZE_AUTO,
-            pf_exact: false,
             model: Model::Cumulative,
         }
     }
@@ -99,13 +92,6 @@ impl<PF: ProbabilityFunction> Problem<PF> {
     /// plain per-position kernel).
     pub fn with_block_size(mut self, block_size: usize) -> Self {
         self.block_size = block_size;
-        self
-    }
-
-    /// Forces the exact `exp` path of the verification kernel (see
-    /// [`Problem::pf_exact`]).
-    pub fn with_pf_exact(mut self, pf_exact: bool) -> Self {
-        self.pf_exact = pf_exact;
         self
     }
 

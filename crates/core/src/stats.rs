@@ -33,8 +33,8 @@ pub struct PruneStats {
     /// (with early stopping).
     pub prob_evals: u64,
     /// Position blocks whose contents were never read because block-level
-    /// distance bounds decided the pair first (blocked kernel only; 0 when
-    /// `block_size == 0`).
+    /// distance bounds decided the pair first (blocked kernel only; 0 under
+    /// the plain kernel, `BLOCK_SIZE_PLAIN`).
     pub blocks_bounded_out: u64,
     /// Position blocks opened for in-block lane evaluation (blocked kernel
     /// only). Users that fell back to the exact pass have their opened
@@ -42,7 +42,7 @@ pub struct PruneStats {
     pub blocks_opened: u64,
     /// Verified pairs whose fast-PF walk ended with the threshold inside
     /// the error band and were re-decided on the exact `exp` path. Always 0
-    /// under `--pf-exact` or the plain kernel. The fast-path hit rate is
+    /// under the plain kernel. The fast-path hit rate is
     /// `1 − pf_fallbacks / verified`.
     pub pf_fallbacks: u64,
 }

@@ -28,10 +28,11 @@
 //!    pruned site is one the kernel itself would reject. No analytic
 //!    `powf`/`ln` roundoff can ever disagree with verification.
 //!
-//! Sites inside both bounds are re-verified with the blocked vectorised
-//! kernel over a single-user [`PositionBlocks`] layout (per-block MBR and
-//! cumulative bounds apply inside), whose decisions are identical to the
-//! plain exact kernel in every mode.
+//! Sites inside both bounds are re-verified through the solve pipeline's
+//! own per-pair dispatch (`verify::decide`): the blocked lane kernel over a
+//! single-user [`PositionBlocks`] layout (per-block MBR and cumulative
+//! bounds apply inside), or the plain kernel when blocking is disabled.
+//! Both decide exactly as the plain exact kernel does.
 //!
 //! Bound 1 assumes the analytic radius is consistent with `PF` at the
 //! `1e-6` scale — true for every strictly decreasing PF in this workspace;
@@ -51,15 +52,14 @@
 //! slot order) and is the only O(instance) step; nothing ever re-verifies.
 
 use crate::algorithms::Selector;
+use crate::verify::{decide, VerifyScratch};
 use crate::{
     class_counts, select, ClassCounts, GatherScratch, InfluenceSets, InvertedIndex, Problem,
     SelectOpts, SelectionStats, SetRows, Solution,
 };
 use mc2ls_geo::Point;
 use mc2ls_influence::{
-    influences_blocked_counted, influences_blocked_exact_counted, influences_counted,
-    min_max_radius, resolve_block_size, BlockCounters, BlockScratch, EvalCounter, MovingUser,
-    PositionBlocks, ProbabilityFunction,
+    min_max_radius, resolve_block_size, MovingUser, PositionBlocks, ProbabilityFunction,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -139,13 +139,6 @@ pub struct UpdateStats {
     pub compactions: u64,
 }
 
-/// Scratch shared by the single-user verification calls of one event.
-struct EventScratch {
-    bounds: BlockScratch,
-    evals: EvalCounter,
-    blocks: BlockCounters,
-}
-
 /// Live influence state under insert/delete/move events. See the module
 /// docs for the flip-set bounds and the buffer layout. Between
 /// compactions, ids are **slot ids**: dense at construction, inserts
@@ -156,7 +149,6 @@ struct EventScratch {
 pub struct UpdateEngine<PF: ProbabilityFunction + Clone> {
     pf: PF,
     tau: f64,
-    pf_exact: bool,
     /// Resolved verification block size (`None` = plain kernel), fixed at
     /// construction — block size never changes decisions.
     resolved: Option<usize>,
@@ -220,7 +212,6 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         UpdateEngine {
             pf: problem.pf.clone(),
             tau: problem.tau,
-            pf_exact: problem.pf_exact,
             resolved: resolve_block_size(&problem.users, problem.block_size),
             threads,
             candidates: problem.candidates.clone(),
@@ -327,14 +318,10 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         let slack = radius + 1e-6 * (1.0 + radius);
         let single = [user.clone()];
         let blocks = self.resolved.map(|bs| PositionBlocks::build(&single, bs));
-        let mut scratch = EventScratch {
-            bounds: BlockScratch::new(),
-            evals: EvalCounter::new(),
-            blocks: BlockCounters::new(),
-        };
+        let mut scratch = VerifyScratch::default();
         let candidates = std::mem::take(&mut self.candidates);
         for (c, site) in candidates.iter().enumerate() {
-            if self.site_influenced(site, user, r, slack, &blocks, &mut scratch) {
+            if self.site_influenced(site, &single, r, slack, blocks.as_ref(), &mut scratch) {
                 // lint:allow(narrowing-cast): c indexes the candidate array, whose length fits the u32 id space
                 row.push(c as u32);
             }
@@ -346,31 +333,33 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         // produces the same representation.
         if row.is_empty() {
             self.stats.sites_pruned += self.facilities.len() as u64;
-            self.stats.prob_evals += scratch.evals.get();
+            self.stats.prob_evals += scratch.counts().prob_evals;
             return (row, 0);
         }
         let facilities = std::mem::take(&mut self.facilities);
         for site in &facilities {
-            if self.site_influenced(site, user, r, slack, &blocks, &mut scratch) {
+            if self.site_influenced(site, &single, r, slack, blocks.as_ref(), &mut scratch) {
                 w += 1;
             }
         }
         self.facilities = facilities;
-        self.stats.prob_evals += scratch.evals.get();
+        self.stats.prob_evals += scratch.counts().prob_evals;
         (row, w)
     }
 
-    /// The flip-set bounds plus the kernel, for one (site, user) pair.
+    /// The flip-set bounds plus the kernel, for one (site, user) pair:
+    /// `single` holds the one user, `blocks` (when blocking is on) its
+    /// layout.
     fn site_influenced(
         &mut self,
         site: &Point,
-        user: &MovingUser,
+        single: &[MovingUser],
         r: usize,
         slack_radius: f64,
-        blocks: &Option<PositionBlocks>,
-        scratch: &mut EventScratch,
+        blocks: Option<&PositionBlocks>,
+        scratch: &mut VerifyScratch,
     ) -> bool {
-        let d_min = user.mbr().min_distance(site);
+        let d_min = single[0].mbr().min_distance(site);
         // Bound 1: beyond the slacked minimum-influence radius, no
         // arrangement of r positions reaches τ. Zero evaluations.
         if d_min > slack_radius {
@@ -381,7 +370,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         // ≥ this one (dᵢ ≥ d_min, PF non-increasing), and the left fold
         // mirrors the kernel's, so `bound > 1 − τ` implies the kernel's
         // final product also exceeds 1 − τ: it would reject.
-        scratch.evals.add(1);
+        scratch.add_evals(1);
         let keep = 1.0 - self.pf.prob(d_min);
         let mut bound = 1.0f64;
         for _ in 0..r {
@@ -392,29 +381,7 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
             return false;
         }
         self.stats.sites_checked += 1;
-        match blocks {
-            Some(b) if self.pf_exact => influences_blocked_exact_counted(
-                &self.pf,
-                site,
-                b,
-                0,
-                self.tau,
-                &mut scratch.bounds,
-                &scratch.evals,
-                &scratch.blocks,
-            ),
-            Some(b) => influences_blocked_counted(
-                &self.pf,
-                site,
-                b,
-                0,
-                self.tau,
-                &mut scratch.bounds,
-                &scratch.evals,
-                &scratch.blocks,
-            ),
-            None => influences_counted(&self.pf, site, user.positions(), self.tau, &scratch.evals),
-        }
+        decide(&self.pf, self.tau, site, single, blocks, 0, scratch)
     }
 
     /// Folds the override log and the tombstones back into flat CSRs:
@@ -687,8 +654,7 @@ mod tests {
             problem.tau,
             problem.pf,
         )
-        .with_block_size(problem.block_size)
-        .with_pf_exact(problem.pf_exact);
+        .with_block_size(problem.block_size);
         influence_sets_threaded(&fresh, Method::Iqt(IqtConfig::default()), 2).0
     }
 

@@ -1,15 +1,16 @@
 //! The shared exact-verification kernel behind every algorithm's
 //! "line 13–17" phase.
 //!
-//! [`Verifier`] owns the problem's [`PositionBlocks`] (built once at the
-//! block size [`resolve_block_size`] derives from the configuration —
+//! [`decide`] is the one place that picks a kernel for a (site, user)
+//! pair: the lane kernel ([`influences_blocked_counted`]) when the users
+//! are blocked, the plain per-position kernel ([`influences_counted`])
+//! when blocking is disabled. The solve pipeline reaches it through
+//! [`Verifier`], which owns the problem's [`PositionBlocks`] (built once at
+//! the block size [`resolve_block_size`] derives from the configuration —
 //! fixed, auto-probed, or disabled — immutable, `Sync`, shared by reference
-//! across all candidates and worker threads) and dispatches each
-//! `Pr_v(o) ≥ τ` decision to the lane kernel
-//! ([`influences_blocked_counted`]), its exact-`exp` twin when
-//! `Problem::pf_exact` is set, or the plain per-position kernel when
-//! blocking is disabled. Decisions are identical in every mode; only the
-//! instrumented evaluation counts differ.
+//! across all candidates and worker threads); the update engine calls it
+//! directly over a one-user layout. Decisions are identical either way;
+//! only the instrumented evaluation counts differ.
 //!
 //! Workers carry a private [`VerifyScratch`] (bound buffers + counters, all
 //! `!Sync` by construction) and the per-worker counts are summed at join —
@@ -24,10 +25,30 @@
 use crate::Problem;
 use mc2ls_geo::Point;
 use mc2ls_influence::{
-    influences_blocked_counted, influences_blocked_exact_counted, influences_counted,
-    resolve_block_size, BlockCounters, BlockScratch, EvalCounter, PositionBlocks,
-    ProbabilityFunction,
+    influences_blocked_counted, influences_counted, resolve_block_size, BlockCounters,
+    BlockScratch, EvalCounter, MovingUser, PositionBlocks, ProbabilityFunction,
 };
+
+/// The exact `Pr_v(o) ≥ τ` decision for user `o` of `users` against site
+/// `v`, counted into `s`: the lane kernel when `blocks` (which then covers
+/// `users`) is present, the plain per-position kernel otherwise.
+#[inline]
+pub(crate) fn decide<PF: ProbabilityFunction>(
+    pf: &PF,
+    tau: f64,
+    v: &Point,
+    users: &[MovingUser],
+    blocks: Option<&PositionBlocks>,
+    o: u32,
+    s: &mut VerifyScratch,
+) -> bool {
+    match blocks {
+        Some(blocks) => {
+            influences_blocked_counted(pf, v, blocks, o, tau, &mut s.bounds, &s.evals, &s.blocks)
+        }
+        None => influences_counted(pf, v, users[o as usize].positions(), tau, &s.evals),
+    }
+}
 
 /// Per-problem verification state: the blocked substrate (if enabled) plus
 /// the problem reference the kernels need.
@@ -51,39 +72,12 @@ impl<'a, PF: ProbabilityFunction> Verifier<'a, PF> {
         VerifyScratch::default()
     }
 
-    /// The exact `Pr_v(o) ≥ τ` decision for user `o` against site `v`,
-    /// through whichever kernel the problem configured.
+    /// The exact `Pr_v(o) ≥ τ` decision for user `o` against site `v`
+    /// ([`decide`] over the problem's users).
     #[inline]
     pub fn influences(&self, v: &Point, o: u32, s: &mut VerifyScratch) -> bool {
-        match &self.blocks {
-            Some(blocks) if self.problem.pf_exact => influences_blocked_exact_counted(
-                &self.problem.pf,
-                v,
-                blocks,
-                o,
-                self.problem.tau,
-                &mut s.bounds,
-                &s.evals,
-                &s.blocks,
-            ),
-            Some(blocks) => influences_blocked_counted(
-                &self.problem.pf,
-                v,
-                blocks,
-                o,
-                self.problem.tau,
-                &mut s.bounds,
-                &s.evals,
-                &s.blocks,
-            ),
-            None => influences_counted(
-                &self.problem.pf,
-                v,
-                self.problem.users[o as usize].positions(),
-                self.problem.tau,
-                &s.evals,
-            ),
-        }
+        let p = self.problem;
+        decide(&p.pf, p.tau, v, &p.users, self.blocks.as_ref(), o, s)
     }
 }
 
@@ -96,6 +90,12 @@ pub(crate) struct VerifyScratch {
 }
 
 impl VerifyScratch {
+    /// Charges `n` PF evaluations made outside the kernels (the update
+    /// engine's η bound).
+    pub fn add_evals(&self, n: u64) {
+        self.evals.add(n);
+    }
+
     /// Folds another scratch's counters into this one (merging per-worker
     /// accumulators; the buffers are irrelevant at that point).
     pub fn absorb(&self, other: &VerifyScratch) {

@@ -1,19 +1,15 @@
 //! Blocked ≡ plain: the block-bounded verification kernel is a pure
 //! optimisation, so every pipeline must produce the same `InfluenceSets` —
 //! and the greedy phase the same `Solution` — whether verification runs
-//! through `influences_blocked` (any block size, auto-tuned included, fast
-//! or exact PF path, Morton or Hilbert ordering) or the plain per-position
-//! kernel (`BLOCK_SIZE_PLAIN`), at any thread count.
+//! through `influences_blocked` (any block size, auto-tuned included) or
+//! the plain per-position kernel (`BLOCK_SIZE_PLAIN`), at any thread count.
 
 use mc2ls_core::algorithms::{
     influence_sets_threaded, solve_threaded, IqtConfig, Method, Selector,
 };
 use mc2ls_core::Problem;
 use mc2ls_geo::Point;
-use mc2ls_influence::{
-    influences_blocked, BlockOrdering, BlockScratch, MovingUser, PositionBlocks, Sigmoid,
-    BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN,
-};
+use mc2ls_influence::{MovingUser, Sigmoid, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN};
 
 /// Fixed sizes plus the auto sentinel (`0`), which resolves per dataset.
 const BLOCK_SIZES: [usize; 5] = [1, 4, 16, 33, BLOCK_SIZE_AUTO];
@@ -89,16 +85,14 @@ fn influence_sets_identical_blocked_vs_plain() {
             let plain = base.clone().with_block_size(BLOCK_SIZE_PLAIN);
             let (want, _, _) = influence_sets_threaded(&plain, method, 1);
             for bs in BLOCK_SIZES {
-                for pf_exact in [false, true] {
-                    let blocked = base.clone().with_block_size(bs).with_pf_exact(pf_exact);
-                    for threads in THREAD_COUNTS {
-                        let (got, _, _) = influence_sets_threaded(&blocked, method, threads);
-                        assert_eq!(
-                            want, got,
-                            "InfluenceSets diverged: seed={seed} method={method:?} \
-                             block_size={bs} pf_exact={pf_exact} threads={threads}"
-                        );
-                    }
+                let blocked = base.clone().with_block_size(bs);
+                for threads in THREAD_COUNTS {
+                    let (got, _, _) = influence_sets_threaded(&blocked, method, threads);
+                    assert_eq!(
+                        want, got,
+                        "InfluenceSets diverged: seed={seed} method={method:?} \
+                         block_size={bs} threads={threads}"
+                    );
                 }
             }
         }
@@ -139,25 +133,6 @@ fn solutions_identical_blocked_vs_plain() {
                         );
                     }
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn morton_and_hilbert_orderings_agree_on_every_decision() {
-    // The ordering is a build-time layout choice: block composition (and
-    // hence open rate) may differ, kernel decisions never do.
-    for seed in [2u64, 6, 10] {
-        let p = random_problem(seed);
-        let morton = PositionBlocks::build_ordered(&p.users, 8, BlockOrdering::Morton);
-        let hilbert = PositionBlocks::build_ordered(&p.users, 8, BlockOrdering::Hilbert);
-        let mut scratch = BlockScratch::new();
-        for v in p.candidates.iter().chain(&p.facilities) {
-            for o in 0..p.users.len() as u32 {
-                let m = influences_blocked(&p.pf, v, &morton, o, p.tau, &mut scratch);
-                let h = influences_blocked(&p.pf, v, &hilbert, o, p.tau, &mut scratch);
-                assert_eq!(m, h, "seed={seed} user={o} v={v:?}");
             }
         }
     }

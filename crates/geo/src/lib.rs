@@ -1,7 +1,7 @@
 //! Planar geometry substrate for the MC²LS reproduction.
 //!
-//! Every spatial structure in this workspace (R-tree, quad-tree, IQuad-tree,
-//! the IA/NIB/IS/NIR pruning regions) is built on the small set of primitives
+//! Every spatial structure in this workspace (R-tree, IQuad-tree, the
+//! IA/NIB/IS/NIR pruning regions) is built on the small set of primitives
 //! defined here:
 //!
 //! * [`Point`] — a position in a planar coordinate system measured in
@@ -14,12 +14,11 @@
 //!   matching how the paper parameterises IQuad-tree nodes (`d̂` is always a
 //!   diagonal).
 //! * [`Extent`] — incremental bounding-box accumulation for datasets.
-//! * [`morton_code`] / [`hilbert_code`] — z-order and Hilbert-curve codes
-//!   over quad subdivisions, shared by the IQuad-tree builder, the blocked
-//!   verification substrate and the candidate sweep (both orderings derive
-//!   their grid cell from the same [`grid_coords`] midpoint descent). The
-//!   batch forms [`morton_codes`], [`hilbert_codes`] and [`grid_cells`] run
-//!   that descent over [`LANE`] points at a time, bit-identically.
+//! * [`morton_code`] / [`grid_coords`] — z-order codes and grid cells over
+//!   quad subdivisions, one midpoint descent shared by the IQuad-tree
+//!   builder, the blocked verification substrate and the candidate sweep.
+//!   The batch forms [`morton_codes`] and [`grid_cells`] run that descent
+//!   over [`LANE`] points at a time, bit-identically.
 //! * [`codec`] — the little-endian binary reader/writer (plus CRC-32) the
 //!   snapshot persistence layer pins every artifact's byte layout on.
 //!
@@ -33,7 +32,6 @@
 mod circle;
 pub mod codec;
 mod extent;
-mod hilbert;
 mod morton;
 mod point;
 pub mod project;
@@ -43,7 +41,6 @@ mod square;
 pub use circle::Circle;
 pub use codec::{ByteReader, ByteWriter, CodecError, U32View};
 pub use extent::Extent;
-pub use hilbert::{hilbert_code, hilbert_codes};
 pub use morton::{grid_cells, grid_coords, morton_code, morton_codes, LANE};
 pub use point::Point;
 pub use rect::Rect;

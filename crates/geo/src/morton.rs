@@ -1,15 +1,12 @@
 //! Morton (z-order) codes over quad subdivisions of a [`Square`].
 //!
-//! Four consumers key positions through this module:
+//! Three consumers key positions through this module:
 //!
 //! * the IQuad-tree builder in `mc2ls-index`, whose codes must be
 //!   bit-identical to its `quadrant_of` traversal descent;
 //! * the blocked verification substrate in `mc2ls-influence`, which
 //!   Morton-sorts each user's positions so consecutive positions are
 //!   spatially close, making per-block MBRs tight;
-//! * the same substrate's Hilbert ordering
-//!   ([`hilbert_codes`](crate::hilbert_codes)), which reads each position's
-//!   grid cell off the Morton code;
 //! * the MaxRS-style sweep in `mc2ls-candgen`, which buckets every position
 //!   into its `(column, row)` grid cell.
 //!
@@ -82,9 +79,8 @@ pub fn morton_code(root: &Square, depth: usize, p: &Point) -> u64 {
 ///
 /// Because the descent evaluates the *identical* floating-point midpoint
 /// expressions, interleaving the returned coordinate bits reproduces
-/// `morton_code` exactly; the Hilbert ordering reuses these cells so the two
-/// orderings always agree on which grid cell a point occupies (only the
-/// ordering of cells differs).
+/// `morton_code` exactly, so the sweep's grid cells and the codes that key
+/// the tree and the blocks always agree on which cell a point occupies.
 pub fn grid_coords(root: &Square, depth: usize, p: &Point) -> (u64, u64) {
     let (mut ox, mut oy, mut side) = (root.origin.x, root.origin.y, root.side);
     let (mut cx, mut cy) = (0u64, 0u64);

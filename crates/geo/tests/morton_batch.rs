@@ -1,14 +1,10 @@
 //! The lockstep batch descent must reproduce the scalar oracle bit for bit:
-//! [`morton_codes`] against [`morton_code`], [`grid_cells`] against
-//! [`grid_coords`] and [`hilbert_codes`] against [`hilbert_code`], over
-//! every depth the codes fit, every remainder length of a [`LANE`] step,
+//! [`morton_codes`] against [`morton_code`] and [`grid_cells`] against
+//! [`grid_coords`], over every depth the codes fit, every remainder length of a [`LANE`] step,
 //! and the points where a comparison is decided by a single rounding: on a
 //! split line and on the root's max edge.
 
-use mc2ls_geo::{
-    grid_cells, grid_coords, hilbert_code, hilbert_codes, morton_code, morton_codes, Point, Square,
-    LANE,
-};
+use mc2ls_geo::{grid_cells, grid_coords, morton_code, morton_codes, Point, Square, LANE};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -67,7 +63,7 @@ fn points(root: &Square, depth: usize, n: usize, rng: &mut StdRng) -> Vec<Point>
         .collect()
 }
 
-/// Asserts all three batch forms equal their scalar oracles on `pts`.
+/// Asserts both batch forms equal their scalar oracles on `pts`.
 fn assert_batch_matches_oracle(root: &Square, depth: usize, pts: &[Point]) {
     let mut codes = vec![u64::MAX; 3]; // stale content must be cleared
     morton_codes(root, depth, pts, &mut codes);
@@ -80,10 +76,6 @@ fn assert_batch_matches_oracle(root: &Square, depth: usize, pts: &[Point]) {
     grid_cells(root, depth, &xs, &ys, &mut cells);
     let oracle: Vec<(u64, u64)> = pts.iter().map(|p| grid_coords(root, depth, p)).collect();
     assert_eq!(cells, oracle, "grid_cells, root {root:?} depth {depth}");
-
-    hilbert_codes(root, depth, pts, &mut codes);
-    let oracle: Vec<u64> = pts.iter().map(|p| hilbert_code(root, depth, p)).collect();
-    assert_eq!(codes, oracle, "hilbert_codes, root {root:?} depth {depth}");
 }
 
 proptest! {

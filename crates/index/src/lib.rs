@@ -4,12 +4,6 @@
 //!   split + STR bulk loading). The paper's Adapted k-CIFP baseline
 //!   (Algorithm 1) indexes candidates and facilities in two R-trees `RT_C`
 //!   and `RT_F` and runs IA/NIB range queries against them.
-//! * [`QuadTree`] — a classic region point quad-tree (Finkel & Bentley),
-//!   used as a structural comparator for the IQuad-tree ablation and for
-//!   Table II-style indexing-cost experiments.
-//! * [`GridIndex`] — a uniform grid, the simplest batch-wise baseline.
-//! * [`KdTree`] — a balanced median-split kd-tree, a further comparator
-//!   for the indexing-cost experiments.
 //! * [`IQuadTree`] — the paper's contribution (§V-C): a user-MBR-free index
 //!   stored as one Morton-sorted position array (a node is the range of
 //!   positions sharing a code prefix), with the `⟨diagonal, η⟩` hash and the
@@ -21,15 +15,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod grid;
 pub mod iquadtree;
-mod kdtree;
-mod quadtree;
 pub mod rtree;
 pub mod setops;
 
-pub use grid::GridIndex;
 pub use iquadtree::{IQuadTree, IqtStats, TraverseOutcome, TraverseScratch};
-pub use kdtree::KdTree;
-pub use quadtree::QuadTree;
 pub use rtree::RTree;

@@ -388,6 +388,7 @@ impl RTree {
                 }
             }
         }
+        // lint:allow(panic-propagation): len > 0 was checked above, so the heap reaches an entry before it empties
         unreachable!("non-empty tree must yield an entry")
     }
 }

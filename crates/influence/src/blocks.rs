@@ -55,17 +55,15 @@
 //! consult the exact `exp` path, re-running the user with `PF::prob` so the
 //! final decision is bit-identical to the exact kernel's.
 //!
-//! [`influences_blocked_scalar`] preserves the per-position scalar walk
-//! (exact `PF::prob`, per-position stops) as the reference kernel the
-//! `BENCH_verify` experiment A/Bs the lane kernel against.
+//! [`influences_blocked_exact`] runs that exact-`exp` walk on its own: it is
+//! the fallback above, the oracle the property tests hold the lane kernel
+//! to at knife-edge τ, and the baseline `BENCH_verify` times it against.
 //!
 //! [`lane_error_bound`]: ProbabilityFunction::lane_error_bound
 
 use crate::lanes::{pow_n, LANE};
 use crate::{CountEvals, ProbabilityFunction};
-use mc2ls_geo::{
-    hilbert_codes, morton_codes, ByteReader, ByteWriter, CodecError, Point, Rect, Square,
-};
+use mc2ls_geo::{morton_codes, ByteReader, ByteWriter, CodecError, Point, Rect, Square};
 use std::cell::Cell;
 
 /// Default positions per block when a fixed size is requested without a
@@ -80,24 +78,9 @@ pub const BLOCK_SIZE_AUTO: usize = 0;
 /// run the plain per-position kernel (`influences`).
 pub const BLOCK_SIZE_PLAIN: usize = usize::MAX;
 
-/// Space-filling-curve depth: 16 levels = a 65536² virtual grid over each
-/// user's MBR, far finer than any real block split needs.
+/// Morton depth: 16 levels = a 65536² virtual grid over each user's MBR,
+/// far finer than any real block split needs.
 const CURVE_DEPTH: usize = 16;
-
-/// Which space-filling curve orders each user's positions before they are
-/// chunked into blocks. A build-time choice: the ordering only affects
-/// which positions share a block (and hence MBR tightness and the kernel's
-/// open rate), never a decision — both orderings assign positions to grid
-/// cells through the identical [`mc2ls_geo::grid_coords`] descent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BlockOrdering {
-    /// Morton (z-order): cheapest keys, takes diagonal jumps between
-    /// quadrants.
-    #[default]
-    Morton,
-    /// Hilbert curve: unit-step traversal, tighter runs of adjacent cells.
-    Hilbert,
-}
 
 /// Derives a block size from a one-pass density probe over `users`.
 ///
@@ -171,33 +154,17 @@ pub struct PositionBlocks {
 }
 
 impl PositionBlocks {
-    /// Builds the blocked layout for `users` in the default
-    /// [`BlockOrdering::Morton`] order, `block_size` positions per block
-    /// (the last block of a user may be smaller).
+    /// Builds the blocked layout for `users`, `block_size` positions per
+    /// block (the last block of a user may be smaller).
+    ///
+    /// Positions are ordered by their Morton code over the user's own MBR
+    /// (ties broken by original position index), so consecutive positions
+    /// are spatially close and block MBRs stay tight. The order changes
+    /// block composition only, never a kernel decision.
     ///
     /// # Panics
     /// Panics when `block_size == 0`.
     pub fn build(users: &[crate::MovingUser], block_size: usize) -> Self {
-        Self::build_ordered(users, block_size, BlockOrdering::default())
-    }
-
-    /// [`PositionBlocks::build`] with an explicit space-filling-curve
-    /// ordering.
-    ///
-    /// Positions are ordered by their curve code over the user's own MBR
-    /// (ties broken by original position index), so consecutive positions
-    /// are spatially close and block MBRs stay tight. The ordering changes
-    /// block composition only — every kernel decision is identical across
-    /// orderings (asserted by the equivalence tests); what moves is the
-    /// open rate, measured by `BENCH_verify`.
-    ///
-    /// # Panics
-    /// Panics when `block_size == 0`.
-    pub fn build_ordered(
-        users: &[crate::MovingUser],
-        block_size: usize,
-        ordering: BlockOrdering,
-    ) -> Self {
         assert!(block_size >= 1, "block_size must be at least 1");
         let total: usize = users.iter().map(crate::MovingUser::len).sum();
         let mut xs = Vec::with_capacity(total);
@@ -214,14 +181,7 @@ impl PositionBlocks {
             // A square root over the MBR (degenerate side 0 is fine: all
             // positions then share one code and the original order holds).
             let root = Square::new(mbr.min, mbr.width().max(mbr.height()));
-            match ordering {
-                BlockOrdering::Morton => {
-                    morton_codes(&root, CURVE_DEPTH, u.positions(), &mut codes)
-                }
-                BlockOrdering::Hilbert => {
-                    hilbert_codes(&root, CURVE_DEPTH, u.positions(), &mut codes)
-                }
-            }
+            morton_codes(&root, CURVE_DEPTH, u.positions(), &mut codes);
             keyed.clear();
             keyed.extend(codes.iter().copied().zip(0u32..));
             keyed.sort_unstable();
@@ -613,7 +573,8 @@ pub fn influences_blocked_counted<PF: ProbabilityFunction + ?Sized, C: CountEval
 
 /// [`influences_blocked`] on the exact `exp` path only: the lane walk runs
 /// with `PF::prob` per position and an empty error band, never consulting
-/// the fast-PF approximation. The `--pf-exact` debugging/A-B mode.
+/// the fast-PF approximation. The lane kernel's fallback, and the oracle
+/// and timing baseline it is checked against.
 pub fn influences_blocked_exact<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
@@ -655,60 +616,15 @@ pub fn influences_blocked_exact_counted<
     )
 }
 
-/// The pre-lane blocked kernel: per-position scalar walk with exact
-/// `PF::prob` calls and per-position stops. Kept as the reference the
-/// `BENCH_verify` experiment A/Bs the lane kernel's throughput against;
-/// decisions are identical to [`influences_blocked`].
-pub fn influences_blocked_scalar<PF: ProbabilityFunction + ?Sized>(
-    pf: &PF,
-    v: &Point,
-    blocks: &PositionBlocks,
-    user: u32,
-    tau: f64,
-    scratch: &mut BlockScratch,
-) -> bool {
-    influences_blocked_scalar_impl::<PF, crate::EvalCounter>(
-        pf, v, blocks, user, tau, scratch, None, None,
-    )
-}
-
-/// [`influences_blocked_scalar`] with evaluation and block counting (this
-/// kernel counts per position, not per chunk).
-#[allow(clippy::too_many_arguments)] // mirrors influences_blocked_counted
-pub fn influences_blocked_scalar_counted<
-    PF: ProbabilityFunction + ?Sized,
-    C: CountEvals + ?Sized,
->(
-    pf: &PF,
-    v: &Point,
-    blocks: &PositionBlocks,
-    user: u32,
-    tau: f64,
-    scratch: &mut BlockScratch,
-    counter: &C,
-    block_counters: &BlockCounters,
-) -> bool {
-    influences_blocked_scalar_impl(
-        pf,
-        v,
-        blocks,
-        user,
-        tau,
-        scratch,
-        Some(counter),
-        Some(block_counters),
-    )
-}
-
-/// Shared kernel prologue: per-block factor bounds, the closest-first visit
+/// Kernel prologue: per-block factor bounds, the closest-first visit
 /// order, and the suffix-product arrays, written into `scratch`.
 ///
 /// For block j with n positions and per-position factor `f = 1 − PF(d)`:
 /// `f ∈ [flo, fhi]` with `flo = 1 − PF(dmin)` and `fhi = 1 − PF(dmax)`
 /// (block bounds always use the exact `PF::prob` — they are evaluated once
 /// per block, not per position, so the fast path buys nothing there and
-/// exactness keeps both kernels' bound arrays bit-identical), so the block
-/// product lies in `[powⁿ(flo), powⁿ(fhi)]`.
+/// exactness keeps the fast and exact walks' bound arrays bit-identical),
+/// so the block product lies in `[powⁿ(flo), powⁿ(fhi)]`.
 fn fill_block_bounds<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
@@ -949,69 +865,6 @@ fn influences_blocked_impl<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Si
         bc.add_fallbacks(1);
     }
     influences_blocked_impl(pf, v, blocks, user, tau, s, counter, block_counters, true)
-}
-
-/// The scalar reference walk: identical bounds and visit order, exact
-/// `PF::prob` per position, stops checked after every position.
-#[allow(clippy::too_many_arguments)]
-fn influences_blocked_scalar_impl<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
-    pf: &PF,
-    v: &Point,
-    blocks: &PositionBlocks,
-    user: u32,
-    tau: f64,
-    scratch: &mut BlockScratch,
-    counter: Option<&C>,
-    block_counters: Option<&BlockCounters>,
-) -> bool {
-    debug_assert!((0.0..=1.0).contains(&tau));
-    let target = 1.0 - tau;
-    let brange = blocks.user_blocks(user);
-    let nb = brange.len();
-    if nb == 0 {
-        return 1.0 <= target;
-    }
-
-    let s = scratch;
-    fill_block_bounds(pf, v, blocks, &brange, s);
-    if let Some(decided) = aggregate_decision(s, nb, target, block_counters) {
-        return decided;
-    }
-
-    let mut product = 1.0f64;
-    for t in 0..nb {
-        let j = s.order[t] as usize;
-        if let Some(bc) = block_counters {
-            bc.add_opened(1);
-        }
-        let (xs, ys) = blocks.block_positions(brange.start + j);
-        let n = xs.len();
-        let (flo, fhi) = (s.flo[j], s.fhi[j]);
-        for i in 0..n {
-            if let Some(c) = counter {
-                c.add(1);
-            }
-            let dx = xs[i] - v.x;
-            let dy = ys[i] - v.y;
-            product *= 1.0 - pf.prob((dx * dx + dy * dy).sqrt());
-            let rem = n - i - 1;
-            if product * pow_n(fhi, rem) * s.suffix_ub[t + 1] <= target {
-                if let Some(bc) = block_counters {
-                    bc.add_bounded((nb - t - 1) as u64);
-                }
-                return true;
-            }
-            if product * pow_n(flo, rem) * s.suffix_lb[t + 1] > target {
-                if let Some(bc) = block_counters {
-                    bc.add_bounded((nb - t - 1) as u64);
-                }
-                return false;
-            }
-        }
-    }
-    // Unreachable for nb ≥ 1 (the last in-block check is the full-product
-    // decision), kept as the honest fallback.
-    product <= target
 }
 
 #[cfg(test)]
@@ -1275,44 +1128,8 @@ mod tests {
                         let lane = influences_blocked(&pf, &v, &blocks, o, tau, &mut scratch);
                         let exact =
                             influences_blocked_exact(&pf, &v, &blocks, o, tau, &mut scratch);
-                        let scalar =
-                            influences_blocked_scalar(&pf, &v, &blocks, o, tau, &mut scratch);
                         assert_eq!(lane, want, "lane: user {o} tau {tau} bs {bs} v {v:?}");
                         assert_eq!(exact, want, "exact: user {o} tau {tau} bs {bs} v {v:?}");
-                        assert_eq!(scalar, want, "scalar: user {o} tau {tau} bs {bs} v {v:?}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hilbert_ordering_changes_layout_but_never_a_decision() {
-        let users = users_ring(6, 29);
-        let pf = Sigmoid::paper_default();
-        let morton = PositionBlocks::build_ordered(&users, 8, BlockOrdering::Morton);
-        let hilbert = PositionBlocks::build_ordered(&users, 8, BlockOrdering::Hilbert);
-        hilbert.validate();
-        // Same partition granularity either way.
-        assert_eq!(morton.n_blocks(), hilbert.n_blocks());
-        for (o, u) in users.iter().enumerate() {
-            let total: usize = hilbert
-                .user_blocks(o as u32)
-                .map(|b| hilbert.block_len(b))
-                .sum();
-            assert_eq!(total, u.len(), "user {o}");
-        }
-        let mut scratch = BlockScratch::new();
-        for tau in [0.05, 0.5, 0.95] {
-            for (o, u) in users.iter().enumerate() {
-                for v in [Point::new(1.0, -1.0), Point::new(o as f64 * 3.0, 0.5)] {
-                    let want = influences(&pf, &v, u.positions(), tau);
-                    for blocks in [&morton, &hilbert] {
-                        assert_eq!(
-                            influences_blocked(&pf, &v, blocks, o as u32, tau, &mut scratch),
-                            want,
-                            "user {o} tau {tau} v {v:?}"
-                        );
                     }
                 }
             }

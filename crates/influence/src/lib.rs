@@ -16,13 +16,15 @@
 //!   behind the IA, NIB, IS and NIR pruning rules.
 //! * [`MovingUser`] — a multi-position user with its cached MBR.
 //! * [`PositionBlocks`] / [`influences_blocked`] — the blocked SoA
-//!   verification substrate: curve-sorted fixed-size position blocks
-//!   ([`BlockOrdering`]: Morton or Hilbert) with per-block MBR distance
-//!   bounds that decide most users without touching their positions, and a
-//!   [`LANE`]-wide chunked walk whose fast-PF error band is folded into
-//!   the two-sided stops (same decisions, far fewer and far cheaper
-//!   evaluations). `block_size` is self-tuned per dataset by
-//!   [`auto_block_size`] when configured as [`BLOCK_SIZE_AUTO`].
+//!   verification substrate: Morton-sorted fixed-size position blocks
+//!   with per-block MBR distance bounds that decide most users without
+//!   touching their positions, and a [`LANE`]-wide chunked walk whose
+//!   fast-PF error band is folded into the two-sided stops (same
+//!   decisions, far fewer and far cheaper evaluations). Its exact-`exp`
+//!   twin [`influences_blocked_exact`] is the fallback inside the error
+//!   band and the oracle the tests hold it to. `block_size` is self-tuned
+//!   per dataset by [`auto_block_size`] when configured as
+//!   [`BLOCK_SIZE_AUTO`].
 //! * [`lanes`] — the bounded-error `exp` fast path ([`exp_neg`]) and its
 //!   published error constants.
 //! * [`CompetitionModel`] / [`Model`] — pluggable competition models: how
@@ -45,9 +47,8 @@ mod user;
 
 pub use blocks::{
     auto_block_size, influences_blocked, influences_blocked_counted, influences_blocked_exact,
-    influences_blocked_exact_counted, influences_blocked_scalar, influences_blocked_scalar_counted,
-    resolve_block_size, BlockCounters, BlockOrdering, BlockScratch, PositionBlocks,
-    BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
+    influences_blocked_exact_counted, resolve_block_size, BlockCounters, BlockScratch,
+    PositionBlocks, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
 };
 pub use cumulative::{
     cumulative_probability, influences, influences_counted, AtomicEvalCounter, CountEvals,

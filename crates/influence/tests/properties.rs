@@ -4,8 +4,8 @@
 use mc2ls_geo::Point;
 use mc2ls_influence::{
     cumulative_probability, eta_count, influences, influences_blocked, influences_blocked_exact,
-    influences_blocked_scalar, min_max_radius, resolve_block_size, BlockScratch, Exponential,
-    MovingUser, PositionBlocks, ProbabilityFunction, Sigmoid, BLOCK_SIZE_AUTO,
+    min_max_radius, resolve_block_size, BlockScratch, Exponential, MovingUser, PositionBlocks,
+    ProbabilityFunction, Sigmoid, BLOCK_SIZE_AUTO,
 };
 use proptest::prelude::*;
 
@@ -14,12 +14,12 @@ use proptest::prelude::*;
 /// sentinel (resolved per generated dataset).
 const KERNEL_BLOCK_SIZES: [usize; 4] = [1, 4, 16, BLOCK_SIZE_AUTO];
 
-/// Asserts the lane (fast-PF), exact-`exp`, and scalar blocked kernels all
-/// return the same decision for `user` across a τ sweep that includes both
-/// boundaries and τ sitting *exactly on* the user's cumulative probability
-/// (the knife edge where the fast path's error band is guaranteed to
-/// matter, forcing the exact fallback). Interior τ is additionally checked
-/// against the plain per-position kernel.
+/// Asserts the lane (fast-PF) and exact-`exp` blocked kernels return the
+/// same decision for `user` across a τ sweep that includes both boundaries
+/// and τ sitting *exactly on* the user's cumulative probability (the knife
+/// edge where the fast path's error band is guaranteed to matter, forcing
+/// the exact fallback). Interior τ is additionally checked against the
+/// plain per-position kernel.
 fn assert_kernel_trio_agrees<PF: ProbabilityFunction>(
     pf: &PF,
     v: &Point,
@@ -33,9 +33,7 @@ fn assert_kernel_trio_agrees<PF: ProbabilityFunction>(
     for t in [0.0, interior_tau, pr.clamp(0.0, 1.0), 1.0] {
         let lane = influences_blocked(pf, v, blocks, o, t, scratch);
         let exact = influences_blocked_exact(pf, v, blocks, o, t, scratch);
-        let scalar = influences_blocked_scalar(pf, v, blocks, o, t, scratch);
         assert_eq!(lane, exact, "fast vs exact diverged: user {o} tau {t}");
-        assert_eq!(lane, scalar, "fast vs scalar diverged: user {o} tau {t}");
     }
     assert_eq!(
         influences_blocked(pf, v, blocks, o, interior_tau, scratch),
@@ -217,7 +215,7 @@ proptest! {
     }
 
     /// The lane kernel's fast-PF decisions are bit-identical to the exact
-    /// kernel's (and the scalar reference's) for the sigmoid PF, across
+    /// kernel's (and the plain kernel's) for the sigmoid PF, across
     /// boundary and knife-edge τ and the block-size sweep including auto.
     #[test]
     fn fast_pf_decisions_bit_identical_sigmoid(v in pt(), us in users(), t in tau()) {

@@ -68,7 +68,7 @@ const PANIC_EXEMPT_CRATES: [&str; 2] = ["cli", "bench"];
 /// shard views, the update engine's slot/buffer arithmetic, the live
 /// batch's shard routing, and the delta splice's frame indices),
 /// workspace-relative with `/` separators.
-const NARROWING_SCOPE: [&str; 15] = [
+const NARROWING_SCOPE: [&str; 14] = [
     "crates/core/src/influence_sets.rs",
     "crates/core/src/inverted.rs",
     "crates/core/src/bitset.rs",
@@ -77,7 +77,6 @@ const NARROWING_SCOPE: [&str; 15] = [
     "crates/core/src/update.rs",
     "crates/core/src/algorithms/iqt.rs",
     "crates/geo/src/morton.rs",
-    "crates/geo/src/hilbert.rs",
     "crates/influence/src/blocks.rs",
     "crates/influence/src/lanes.rs",
     "crates/serve/src/delta.rs",
@@ -505,12 +504,9 @@ mod tests {
 
         // The lane module carries both hot-path rule sets: its bit-level
         // exponent assembly must not hide narrowing casts, and its running
-        // products/bands are float accumulation. The Hilbert curve joins
-        // the Morton code under the narrowing rule.
+        // products/bands are float accumulation.
         let lanes = classify("crates/influence/src/lanes.rs").expect("in scope");
         assert!(lanes.narrowing_cast && lanes.float_accum);
-        let hilbert = classify("crates/geo/src/hilbert.rs").expect("in scope");
-        assert!(hilbert.narrowing_cast && !hilbert.float_accum);
 
         // The candidate sweep produces result data (R1) and carries both
         // hot-path rule sets: grid/anchor arithmetic narrows, and its

@@ -32,8 +32,8 @@
 //! | module | contents |
 //! |---|---|
 //! | [`geo`] | points, rectangles, circles, squares, projections |
-//! | [`influence`] | `PF` functions, cumulative probability, `mMR`/`NIR`/`η` |
-//! | [`index`] | R-tree, quad-tree, grid, and the paper's IQuad-tree |
+//! | [`influence`] | `PF` functions, cumulative probability, `mMR`/`NIR`/`η`, the blocked lane kernel |
+//! | [`index`] | R-tree and the paper's IQuad-tree |
 //! | [`core`] | the MC²LS problem, pruning rules, Baseline / k-CIFP / IQT / exact algorithms |
 //! | [`data`] | calibrated dataset generators, SNAP loaders, samplers, persistence |
 //! | [`social`] | geo-social extension: friendship graphs, cascades, MC²LS-S |
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use mc2ls_index::{IQuadTree, RTree};
     pub use mc2ls_influence::{
         auto_block_size, cumulative_probability, influences, influences_blocked,
-        resolve_block_size, BlockOrdering, BlockScratch, Model, MovingUser, PositionBlocks,
-        ProbabilityFunction, Sigmoid, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
+        resolve_block_size, BlockScratch, Model, MovingUser, PositionBlocks, ProbabilityFunction,
+        Sigmoid, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
     };
 }

@@ -112,13 +112,12 @@ pub struct QueryRequest {
     /// The selector a direct solve would use. All selectors return
     /// byte-identical solutions and the engine always runs the decremental
     /// plan, so this field is accepted but not read (nor part of the
-    /// cache key).
+    /// cache key). The `mc2ls query` client always sends `Auto`.
     pub selector: Selector,
-    /// Whether the client solved (or will solve) its side of an A/B
-    /// comparison with the exact-`exp` PF kernel. Serving runs zero PF
-    /// evaluations — influence sets are precomputed — so this is a
-    /// parity/debug field: accepted, never read, never part of the cache
-    /// key.
+    /// Accepted and never read: serving runs zero PF evaluations
+    /// (influence sets are precomputed), so no kernel choice applies, and
+    /// the field is never part of the cache key. It stays on the wire
+    /// because existing clients send it.
     pub pf_exact: bool,
     /// Competition model the client expects the answer under. Must match
     /// the model recorded in the snapshot META (the server rejects
