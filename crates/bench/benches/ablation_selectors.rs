@@ -1,13 +1,12 @@
 //! Ablation: selection/acceleration strategies beyond the paper's default —
-//! standard greedy vs CELF lazy greedy vs FM-sketch greedy, plus the
-//! crossbeam-parallel exhaustive influence computation.
+//! standard greedy vs CELF lazy greedy, plus the chunked exhaustive
+//! influence computation (std scoped threads) at one and four workers.
 
 #[path = "common.rs"]
 mod common;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mc2ls::core::algorithms::{self, run_selector, Selector};
-use mc2ls::core::{parallel, sketch};
+use mc2ls::core::algorithms::{self, baseline, run_selector, Selector};
 use mc2ls::prelude::*;
 
 fn bench(c: &mut Criterion) {
@@ -25,15 +24,12 @@ fn bench(c: &mut Criterion) {
     group.bench_function("celf", |b| {
         b.iter(|| run_selector(Selector::LazyGreedy, &sets, 20, 1))
     });
-    group.bench_function("fm-sketch", |b| {
-        b.iter(|| sketch::select_sketched(&sets, 20, 32))
-    });
 
     for threads in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("baseline-parallel", threads),
             &problem,
-            |b, p| b.iter(|| parallel::baseline_influence_sets_parallel(p, threads)),
+            |b, p| b.iter(|| baseline::influence_sets(p, threads)),
         );
     }
     group.finish();

@@ -1,13 +1,13 @@
 //! Solution-quality comparison (not a paper figure, but the paper's Fig. 1
 //! argument made quantitative): the overlap-aware greedy versus the
-//! single-facility top-k baseline ([17]/[18]-style), the FM-sketch
-//! approximate greedy, and the competition-blind greedy (the k-CIFP
-//! objective evaluated under competition).
+//! single-facility top-k baseline ([17]/[18]-style) and the
+//! competition-blind greedy (the k-CIFP objective evaluated under
+//! competition).
 
 use crate::{percent, Ctx, ExperimentResult};
 use mc2ls::core::algorithms::topk::select_top_k_single;
 use mc2ls::core::algorithms::{self, run_selector, Selector};
-use mc2ls::core::{sketch, InfluenceSets};
+use mc2ls::core::InfluenceSets;
 use mc2ls::prelude::*;
 use serde_json::json;
 
@@ -31,7 +31,6 @@ pub fn quality(ctx: &Ctx) -> ExperimentResult {
 
             let greedy_sol = run_selector(Selector::Greedy, &sets, k, 1).0;
             let topk_sol = select_top_k_single(&sets, k);
-            let sketch_sol = sketch::select_sketched(&sets, k, 48);
 
             // Competition-blind: optimise raw coverage (every weight 1),
             // then score the chosen set under the true competitive weights.
@@ -54,7 +53,6 @@ pub fn quality(ctx: &Ctx) -> ExperimentResult {
                         json!((greedy_sol.cinf * 100.0).round() / 100.0),
                     )
                     .set("topk_single%", rel(topk_sol.cinf))
-                    .set("fm_sketch%", rel(sketch_sol.cinf))
                     .set("competition_blind%", rel(blind_value))
                     .build(),
             );

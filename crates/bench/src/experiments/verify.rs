@@ -27,7 +27,10 @@
 //! * **exact** — the same lane walk on exact `exp`
 //!   (`influences_blocked_exact_counted`, the lane kernel's fallback).
 //!
-//! Each walk reports evaluations, wall-clock and throughput
+//! The two walks run in alternating pairs (at least [`GUARD_PAIRS`],
+//! more when `--reps` asks for more; the order flips every pair), so
+//! machine drift during the row lands on both walks alike. Each walk
+//! reports evaluations, its median wall-clock and throughput
 //! (`*_eps` = evals/sec); `vec_opened` counts the blocks the lane kernel
 //! opened, and `fast_hit_rate` is the share of pairs the fast path decided
 //! without the exact-`exp` fallback. `auto_bs` is the density-probe block
@@ -60,6 +63,9 @@ type BlockedKernel = fn(
 
 /// Block sizes swept per τ; 16 is the problem default.
 const BLOCK_SIZES: [usize; 4] = [4, 8, 16, 32];
+
+/// Fewest alternating vec/exact pairs behind the throughput guard.
+const GUARD_PAIRS: usize = 5;
 
 /// Median wall-clock of `reps` runs of `f`.
 fn median_of<F: FnMut() -> Duration>(reps: usize, mut f: F) -> Duration {
@@ -113,6 +119,39 @@ fn run_blocked_kernel(
         fallbacks: bc.fast_fallbacks(),
         time,
     }
+}
+
+/// The vec and exact walks timed in `pairs` alternating pairs, the order
+/// flipping every pair; each walk keeps its median-time run (the counters
+/// are the same on every run).
+fn run_walk_pairs(
+    problem: &Problem,
+    sites: &[Point],
+    blocks: &PositionBlocks,
+    tau: f64,
+    reference: &[bool],
+    pairs: usize,
+) -> (KernelRun, KernelRun) {
+    let walks: [(&str, BlockedKernel); 2] = [
+        ("vec", influences_blocked_counted::<Sigmoid, EvalCounter>),
+        (
+            "exact",
+            influences_blocked_exact_counted::<Sigmoid, EvalCounter>,
+        ),
+    ];
+    let mut runs: [Vec<KernelRun>; 2] = [Vec::new(), Vec::new()];
+    for p in 0..pairs {
+        for w in [p % 2, 1 - p % 2] {
+            let (label, kernel) = walks[w];
+            let run = run_blocked_kernel(label, kernel, problem, sites, blocks, tau, reference, 1);
+            runs[w].push(run);
+        }
+    }
+    let [vec_run, exact_run] = runs.map(|mut r| {
+        r.sort_by_key(|run| run.time);
+        r.swap_remove(r.len() / 2)
+    });
+    (vec_run, exact_run)
 }
 
 /// Evaluations per second, guarded against degenerate timings.
@@ -317,25 +356,13 @@ pub fn verify(ctx: &Ctx) -> ExperimentResult {
 
             // --- kernel A/B at the default block size -------------------
             let blocks = PositionBlocks::build(&problem.users, DEFAULT_BLOCK_SIZE);
-            let vec_run = run_blocked_kernel(
-                "vec",
-                influences_blocked_counted::<Sigmoid, EvalCounter>,
+            let (vec_run, exact_run) = run_walk_pairs(
                 &problem,
                 &sites,
                 &blocks,
                 tau,
                 &reference,
-                ctx.reps,
-            );
-            let exact_run = run_blocked_kernel(
-                "exact",
-                influences_blocked_exact_counted::<Sigmoid, EvalCounter>,
-                &problem,
-                &sites,
-                &blocks,
-                tau,
-                &reference,
-                ctx.reps,
+                ctx.reps.max(GUARD_PAIRS),
             );
             ds_vec.0 += vec_run.evals;
             ds_vec.1 += vec_run.time;
@@ -374,13 +401,14 @@ pub fn verify(ctx: &Ctx) -> ExperimentResult {
             );
         }
         // The fast-PF walk must not process evaluations slower than the
-        // same walk on exact `exp`, aggregated over the τ sweep. On the
-        // bound-dominated presets both walks spend almost all their time in
-        // the *shared* bound arithmetic (>80 % of pairs never open a
-        // block), so their throughputs are near-equal and the check only
-        // guards against regression, with slack for timer noise. The
-        // hotspot preset is eval-bound — there the fast path's advantage
-        // is structural and the check is strict.
+        // same walk on exact `exp`, aggregated over the τ sweep from each
+        // row's alternating-pair medians. On the bound-dominated presets
+        // both walks spend almost all their time in the *shared* bound
+        // arithmetic (>80 % of pairs never open a block), so their
+        // throughputs are near-equal and the check only guards against
+        // regression, with slack for timer noise. The hotspot preset is
+        // eval-bound — there the fast path's advantage is structural and
+        // the check is strict.
         let (vec_eps, exact_eps) = (eps(ds_vec.0, ds_vec.1), eps(ds_exact.0, ds_exact.1));
         let floor = if bounds_dominate { 0.8 } else { 1.0 };
         assert!(

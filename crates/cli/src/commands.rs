@@ -29,9 +29,18 @@ pub fn dispatch<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     }
 }
 
+/// [`ArgError::BadValue`] for flag `key`, quoting its value as given.
+fn bad_value(parsed: &Parsed, key: &str) -> ArgError {
+    let raw = parsed.get(key).unwrap_or_default();
+    ArgError::BadValue(key.into(), raw.into())
+}
+
 fn preset_config(parsed: &Parsed) -> Result<DatasetConfig, Box<dyn Error>> {
     let name = parsed.require("preset")?;
     let scale: f64 = parsed.get_or("scale", 1.0)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(bad_value(parsed, "scale").into());
+    }
     let mut cfg = match name {
         "california" | "ca" => presets::california_scaled(scale),
         "new-york" | "new_york" | "ny" => presets::new_york_scaled(scale),
@@ -131,19 +140,36 @@ fn show_block_size(block_size: usize) -> String {
     }
 }
 
-/// Builds the MC²LS instance shared by `solve`, `analyze` and `snapshot
-/// save`: dataset (file or preset), disjoint site sampling, and the
-/// standard instance flags. Returns the dataset name alongside.
+/// Builds the MC²LS instance shared by `solve`, `analyze`, `snapshot
+/// save` and `serve --live`: dataset (file or preset), disjoint site
+/// sampling, and the standard instance flags. Returns the dataset name
+/// alongside. Every value [`Problem::new`] or the site sampler would
+/// reject is a [`ArgError::BadValue`] naming its flag.
 fn problem_from_flags(parsed: &Parsed) -> Result<(Problem<Sigmoid>, String), Box<dyn Error>> {
-    let dataset = obtain_dataset(parsed)?;
     let n_c: usize = parsed.get_or("candidates", 100)?;
     let n_f: usize = parsed.get_or("facilities", 200)?;
     let k: usize = parsed.get_or("k", 10)?;
+    if k == 0 {
+        return Err(bad_value(parsed, "k").into());
+    }
     let tau: f64 = parsed.get_or("tau", 0.7)?;
+    if !(tau > 0.0 && tau < 1.0) {
+        return Err(bad_value(parsed, "tau").into());
+    }
     let seed: u64 = parsed.get_or("site-seed", 42)?;
     let block_size = parse_block_size(parsed.get("block-size"))?;
     let model = parse_model(parsed.get("model").unwrap_or("cumulative"))?;
+    let dataset = obtain_dataset(parsed)?;
     let name = dataset.name.clone();
+    if n_c.saturating_add(n_f) > dataset.pois.len() {
+        return Err(Box::new(ArgError::BadValue(
+            "candidates".into(),
+            format!(
+                "{n_c} (with {n_f} facilities, over the {} sites of {name})",
+                dataset.pois.len()
+            ),
+        )));
+    }
     let (sampled, facilities) = dataset.sample_sites_disjoint(n_c, n_f, seed);
     // `--candidates-file` swaps the sampled candidate sites for the ones a
     // `candgen` sweep proposed; facilities stay sampled from the dataset.
@@ -161,6 +187,15 @@ fn problem_from_flags(parsed: &Parsed) -> Result<(Problem<Sigmoid>, String), Box
             proposal.sites.iter().map(|s| s.center).collect()
         }
     };
+    if candidates.is_empty() {
+        return Err(bad_value(parsed, "candidates").into());
+    }
+    if k > candidates.len() {
+        return Err(Box::new(ArgError::BadValue(
+            "k".into(),
+            format!("{k} (only {} candidates)", candidates.len()),
+        )));
+    }
     let problem = Problem::new(
         dataset.users,
         facilities,
@@ -422,8 +457,7 @@ fn check_leaf_diagonal(
     {
         return Ok(());
     }
-    let raw = parsed.get("leaf-diagonal").unwrap_or_default();
-    Err(ArgError::BadValue("leaf-diagonal".into(), raw.into()))
+    Err(bad_value(parsed, "leaf-diagonal"))
 }
 
 fn snapshot_load<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
@@ -516,7 +550,10 @@ fn serve_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     }
 
     let path = parsed.require("snapshot")?;
-    let snapshot = mc2ls_serve::Snapshot::load(std::path::Path::new(path))?;
+    // Cold start through the zero-copy view, as RELOAD loads: the
+    // container is validated once and PBLK/IQTR stay undecoded.
+    let bytes = std::fs::read(path).map_err(mc2ls_serve::SnapshotError::Io)?;
+    let engine = mc2ls_serve::QueryEngine::from_bytes(bytes, threads)?;
     // `--shards` is a guard, not a transform: serving always uses the
     // snapshot's own layout, so a mismatch means the operator saved the
     // wrong file for this fleet and deserves a hard error.
@@ -524,15 +561,14 @@ fn serve_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
         let want: usize = want
             .parse()
             .map_err(|_| ArgError::BadValue("shards".into(), want.into()))?;
-        if want != snapshot.n_shards() {
+        if want != engine.n_shards() {
             return Err(Box::new(ArgError::BadValue(
                 "shards".into(),
-                format!("{want} (snapshot has {})", snapshot.n_shards()),
+                format!("{want} (snapshot has {})", engine.n_shards()),
             )));
         }
     }
-    let name = snapshot.meta.name.clone();
-    let engine = mc2ls_serve::QueryEngine::new(snapshot, threads);
+    let name = engine.meta().name.clone();
     let server = mc2ls_serve::Server::start(config, engine)?;
     writeln!(out, "serving snapshot {} on {}", name, server.addr())?;
     // Scripts (and the CI smoke job) poll this file to learn the bound
@@ -811,6 +847,50 @@ mod tests {
                     "{command}: {out}"
                 );
             }
+        }
+        assert!(
+            !std::path::Path::new(&out_file).exists(),
+            "nothing is written"
+        );
+    }
+
+    #[test]
+    fn out_of_range_instance_flags_are_bad_values() {
+        let out_file = tmp("bad-instance.mc2s");
+        let _ = std::fs::remove_file(&out_file);
+        #[rustfmt::skip]
+        let cases = [
+            ("--scale 0.05 --candidates 15 -k 0", "'0' for --k"),
+            ("--scale 0.05 --candidates 15 -k 99", "'99 (only 15 candidates)' for --k"),
+            ("--scale 0.05 --candidates 0 -k 3", "'0' for --candidates"),
+            ("--scale 0.05 --candidates 9999 -k 3", "' for --candidates"),
+            ("--scale 0.05 --candidates 15 -k 3 --tau 1.5", "'1.5' for --tau"),
+            ("--scale 0.05 --candidates 15 -k 3 --tau 0", "'0' for --tau"),
+            ("--scale 0 --candidates 15 -k 3", "'0' for --scale"),
+            ("--scale -1 --candidates 15 -k 3", "'-1' for --scale"),
+        ];
+        let commands = [
+            "solve".to_string(),
+            "analyze".to_string(),
+            format!("snapshot save --out {out_file}"),
+            "serve --live --addr 127.0.0.1:0".to_string(),
+        ];
+        let dataset_only = [
+            ("stats --preset new-york --scale 0", "'0' for --scale"),
+            ("stats --preset new-york --scale -1", "'-1' for --scale"),
+        ];
+        let instance_calls = commands.iter().flat_map(|command| {
+            cases
+                .iter()
+                .map(move |(flags, want)| (format!("{command} --preset new-york {flags}"), *want))
+        });
+        let dataset_calls = dataset_only.map(|(line, want)| (line.to_string(), want));
+        for (line, want) in instance_calls.chain(dataset_calls) {
+            let (code, out) = call(&line);
+            assert_eq!(code, 1, "{line}: {out}");
+            assert!(out.contains("error: bad value '"), "{line}: {out}");
+            assert!(out.contains(want), "{line}: {out}");
+            assert!(!out.contains("selected:"), "{line}: {out}");
         }
         assert!(
             !std::path::Path::new(&out_file).exists(),
@@ -1168,6 +1248,46 @@ mod tests {
         let (code, out) = call(&format!("snapshot load --file {bad}"));
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("error:"), "{out}");
+    }
+
+    #[test]
+    fn load_and_serve_reject_an_out_of_range_iinv_candidate_alike() {
+        let file = tmp("iinv-probe-src.mc2s");
+        let (code, out) = call(&format!(
+            "snapshot save --preset new-york --scale 0.05 --candidates 15 \
+             --facilities 20 -k 3 --tau 0.6 --shards 2 --out {file}"
+        ));
+        assert_eq!(code, 0, "{out}");
+        // Frames are [tag 4][len u64][crc u32][payload]; an IINV payload
+        // ends with its last candidate id. Rewrite that id of the first
+        // non-empty IINV to |C| = 15 and re-store the section's CRC.
+        let mut bytes = std::fs::read(&file).unwrap();
+        let mut at = 8;
+        loop {
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            let payload = at + 16..at + 16 + len;
+            if &bytes[at..at + 4] == b"IINV" {
+                let n_offsets = u64::from_le_bytes(bytes[payload.start..][..8].try_into().unwrap());
+                let ids_at = payload.start + 8 + 4 * n_offsets as usize;
+                if bytes[ids_at..ids_at + 8] != [0; 8] {
+                    bytes[payload.end - 4..payload.end].copy_from_slice(&15u32.to_le_bytes());
+                    let crc = mc2ls::geo::codec::crc32(&bytes[payload.clone()]);
+                    bytes[at + 12..at + 16].copy_from_slice(&crc.to_le_bytes());
+                    break;
+                }
+            }
+            at = payload.end;
+        }
+        let probe = tmp("iinv-probe.mc2s");
+        std::fs::write(&probe, bytes).unwrap();
+        for line in [
+            format!("snapshot load --file {probe}"),
+            format!("serve --snapshot {probe} --addr 127.0.0.1:0"),
+        ] {
+            let (code, out) = call(&line);
+            assert_eq!(code, 1, "{line}: {out}");
+            assert!(out.contains("error: section IINV"), "{line}: {out}");
+        }
     }
 
     #[test]

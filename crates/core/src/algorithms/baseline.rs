@@ -2,47 +2,85 @@
 //! candidate–user and facility–user pair with the cumulative probability
 //! model, then select greedily. Complexity `O((n+m)·u·r + 2kn)`.
 
-use crate::verify::Verifier;
+use crate::parallel::{map_chunks, sum_folds};
+use crate::verify::{Verifier, VerifyCounts};
 use crate::{InfluenceSets, PhaseTimes, Problem, PruneStats};
 use mc2ls_influence::ProbabilityFunction;
 use std::time::Instant;
 
-/// Computes the full influence relationships with no pruning at all.
+/// Computes the full influence relationships with no pruning at all,
+/// across `threads` workers.
 ///
 /// "No pruning" refers to the pair level: every candidate–user and
 /// facility–user pair is decided exactly. Each individual decision still
 /// goes through the configured verification kernel (blocked when
 /// `problem.block_size > 0`), which changes the evaluation count but never
 /// the decision.
+///
+/// Candidates and facilities are split into contiguous chunks
+/// ([`crate::parallel`]); one thread runs inline on the caller. The
+/// blocked substrate is built once and shared by reference, each worker
+/// counts on private scratch, and every stop is decided per pair, so the
+/// sets **and** `PruneStats` are bit-identical at any thread count.
+/// `PhaseTimes` reports the substrate build as `indexing` and the scan as
+/// `verification`.
+///
+/// # Panics
+/// Panics when `threads == 0`.
 pub fn influence_sets<PF: ProbabilityFunction>(
     problem: &Problem<PF>,
+    threads: usize,
 ) -> (InfluenceSets, PruneStats, PhaseTimes) {
+    assert!(threads >= 1, "need at least one worker thread");
     let t_index = Instant::now();
     let verifier = Verifier::build(problem);
     let indexing = t_index.elapsed();
 
     let t0 = Instant::now();
-    let mut scratch = verifier.scratch();
     let n_users = problem.n_users();
 
-    let omega_c: Vec<Vec<u32>> = problem
-        .candidates
-        .iter()
-        .map(|c| {
-            (0..n_users as u32)
-                .filter(|&o| verifier.influences(c, o, &mut scratch))
-                .collect()
-        })
-        .collect();
-
-    let mut f_count = vec![0u32; n_users];
-    for f in &problem.facilities {
-        for (o, cnt) in f_count.iter_mut().enumerate() {
-            if verifier.influences(f, o as u32, &mut scratch) {
-                *cnt += 1;
-            }
-        }
+    // Candidates: each worker owns a disjoint chunk of candidate indices.
+    let cand_chunks = map_chunks(problem.n_candidates(), threads, |range| {
+        let mut scratch = verifier.scratch();
+        let lists: Vec<Vec<u32>> = range
+            .map(|ci| {
+                let c = &problem.candidates[ci];
+                (0..n_users as u32)
+                    .filter(|&o| verifier.influences(c, o, &mut scratch))
+                    .collect()
+            })
+            .collect();
+        (lists, scratch.counts())
+    });
+    let mut omega_c = Vec::with_capacity(problem.n_candidates());
+    let mut counts = VerifyCounts::default();
+    for (lists, part) in cand_chunks {
+        omega_c.extend(lists);
+        counts.merge(part);
     }
+
+    // Facilities: workers produce partial |F_o| vectors, summed afterwards.
+    let (f_count, fac_scratch) = sum_folds(
+        problem.n_facilities(),
+        threads,
+        || (vec![0u32; n_users], verifier.scratch()),
+        |(local, scratch), range| {
+            for f in &problem.facilities[range] {
+                for (o, cnt) in local.iter_mut().enumerate() {
+                    if verifier.influences(f, o as u32, scratch) {
+                        *cnt += 1;
+                    }
+                }
+            }
+        },
+        |(total, t_scratch), (part, p_scratch)| {
+            for (t, p) in total.iter_mut().zip(part) {
+                *t += p;
+            }
+            t_scratch.absorb(&p_scratch);
+        },
+    );
+    counts.merge(fac_scratch.counts());
 
     let pairs = ((problem.n_candidates() + problem.n_facilities()) * n_users) as u64;
     let mut stats = PruneStats {
@@ -50,7 +88,7 @@ pub fn influence_sets<PF: ProbabilityFunction>(
         verified: pairs,
         ..PruneStats::default()
     };
-    scratch.counts().add_to(&mut stats);
+    counts.add_to(&mut stats);
     let times = PhaseTimes {
         indexing,
         verification: t0.elapsed(),
@@ -101,7 +139,7 @@ mod tests {
     #[test]
     fn influence_sets_are_correct() {
         let p = small_problem();
-        let (sets, stats, _) = influence_sets(&p);
+        let (sets, stats, _) = influence_sets(&p, 1);
         // Candidate 0 influences user 0 (three close positions).
         assert_eq!(sets.omega(0), [0]);
         // Candidate 1 influences user 1.
@@ -119,9 +157,11 @@ mod tests {
     #[test]
     fn blocked_and_plain_kernels_agree() {
         let p = small_problem();
-        let (blocked, b_stats, _) = influence_sets(&p);
-        let (plain, p_stats, _) =
-            influence_sets(&p.clone().with_block_size(mc2ls_influence::BLOCK_SIZE_PLAIN));
+        let (blocked, b_stats, _) = influence_sets(&p, 1);
+        let (plain, p_stats, _) = influence_sets(
+            &p.clone().with_block_size(mc2ls_influence::BLOCK_SIZE_PLAIN),
+            1,
+        );
         assert_eq!(blocked, plain);
         // Plain kernel records no block activity; on this clustered instance
         // the block bounds decide pairs cheaper than the per-position walk.
@@ -132,7 +172,7 @@ mod tests {
     #[test]
     fn greedy_on_baseline_sets_picks_best_pair() {
         let p = small_problem();
-        let (sets, _, _) = influence_sets(&p);
+        let (sets, _, _) = influence_sets(&p, 1);
         let sol = run_selector(Selector::Greedy, &sets, 2, 1).0;
         // User 1 is uncontested (weight 1) so candidate 1 is first; then
         // candidate 0 adds user 0 at weight 1/2.

@@ -366,7 +366,7 @@ mod tests {
         for seed in 1..10u64 {
             for tau in [0.3, 0.6, 0.8] {
                 let p = random_problem(seed, 50, 10, 12, tau);
-                let (base, _, _) = baseline::influence_sets(&p);
+                let (base, _, _) = baseline::influence_sets(&p, 1);
                 for config in [
                     IqtConfig::iqt_c(2.0),
                     IqtConfig::iqt(2.0),
@@ -419,7 +419,7 @@ mod tests {
         // (their weight is never read); for every user some candidate does
         // influence, f_count must match baseline exactly.
         let p = random_problem(3, 60, 15, 10, 0.5);
-        let (base, _, _) = baseline::influence_sets(&p);
+        let (base, _, _) = baseline::influence_sets(&p, 1);
         let (got, _, _) = influence_sets(&p, &IqtConfig::iqt_c(2.0));
         let mut relevant = vec![false; p.n_users()];
         for list in base.iter_omegas() {
@@ -445,7 +445,7 @@ mod tests {
     #[test]
     fn pruning_reduces_verification_versus_baseline() {
         let p = random_problem(5, 120, 20, 20, 0.6);
-        let (_, base_stats, _) = baseline::influence_sets(&p);
+        let (_, base_stats, _) = baseline::influence_sets(&p, 1);
         let (_, iqt_stats, _) = influence_sets(&p, &IqtConfig::iqt(2.0));
         assert!(iqt_stats.verified < base_stats.verified);
         assert!(iqt_stats.prob_evals <= base_stats.prob_evals);

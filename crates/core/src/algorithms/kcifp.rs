@@ -15,7 +15,7 @@ use crate::pruning::{ia_contains, nib_contains, nib_query_rect, MmrTable};
 use crate::verify::Verifier;
 use crate::{InfluenceSets, PhaseTimes, Problem, PruneStats};
 use mc2ls_index::RTree;
-use mc2ls_influence::{influences_counted, EvalCounter, ProbabilityFunction};
+use mc2ls_influence::ProbabilityFunction;
 use std::time::Instant;
 
 /// Computes influence relationships with IA/NIB pruning over R-trees.
@@ -133,152 +133,6 @@ pub fn influence_sets<PF: ProbabilityFunction>(
     (InfluenceSets::new(omega_c, f_count), stats, times)
 }
 
-/// The *literal* Algorithm 1: two `RangeQuery` calls per user per tree —
-/// first the IA window (certain influence), then the NIB window with the
-/// IA hits subtracted (verification candidates) — exactly as the paper's
-/// pseudo-code issues them.
-///
-/// [`influence_sets`] merges the two windows into one query per user,
-/// which is semantically identical but touches each R-tree once; this
-/// faithful variant exists to measure what that merge is worth (see the
-/// `ablation_kcifp` bench) and as a second witness in the agreement tests.
-/// It deliberately stays on the plain per-position kernel: it replicates
-/// the paper's protocol literally, so the blocked substrate is not wired
-/// in here.
-pub fn influence_sets_faithful<PF: ProbabilityFunction>(
-    problem: &Problem<PF>,
-) -> (InfluenceSets, PruneStats, PhaseTimes) {
-    use crate::pruning::ia_inner_circle;
-
-    let mut stats = PruneStats::default();
-    let mut times = PhaseTimes::default();
-    let counter = EvalCounter::new();
-
-    let t = Instant::now();
-    let rt_c = RTree::bulk_load(
-        problem
-            .candidates
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u32, *p))
-            .collect(),
-    );
-    let rt_f = RTree::bulk_load(
-        problem
-            .facilities
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u32, *p))
-            .collect(),
-    );
-    let mmr = MmrTable::build(&problem.pf, problem.tau, problem.r_max());
-    times.indexing = t.elapsed();
-
-    let n_users = problem.n_users();
-    let n_cands = problem.n_candidates();
-    let n_facs = problem.n_facilities();
-    stats.pairs_total = ((n_cands + n_facs) * n_users) as u64;
-
-    // Classifies one tree's sites for one user with the two-query protocol;
-    // returns the influencing site ids.
-    let classify = |tree: &RTree,
-                    n_sites: usize,
-                    user: &mc2ls_influence::MovingUser,
-                    radius: f64,
-                    stats_ia: &mut u64,
-                    stats_nib: &mut u64,
-                    stats_verified: &mut u64|
-     -> Vec<u32> {
-        let mut hits: Vec<u32> = Vec::new();
-        // Query 1: the IA window (lines 4-6).
-        let mut ia_ids: Vec<u32> = Vec::new();
-        if let Some(circle) = ia_inner_circle(user.mbr(), radius) {
-            tree.for_each_in_rect(&circle.bounding_rect(), |id, p| {
-                if ia_contains(user.mbr(), &p, radius) {
-                    ia_ids.push(id);
-                }
-            });
-        }
-        *stats_ia += ia_ids.len() as u64;
-        hits.extend_from_slice(&ia_ids);
-        ia_ids.sort_unstable();
-        // Query 2: the NIB window minus the IA set (lines 7-9).
-        let window = nib_query_rect(user.mbr(), radius);
-        let mut seen_in_window = 0u64;
-        tree.for_each_in_rect(&window, |id, p| {
-            seen_in_window += 1;
-            if ia_ids.binary_search(&id).is_ok() {
-                return;
-            }
-            if !nib_contains(user.mbr(), &p, radius) {
-                *stats_nib += 1;
-                return;
-            }
-            *stats_verified += 1;
-            if influences_counted(&problem.pf, &p, user.positions(), problem.tau, &counter) {
-                hits.push(id);
-            }
-        });
-        *stats_nib += n_sites as u64 - seen_in_window;
-        hits
-    };
-
-    let mut omega_c: Vec<Vec<u32>> = vec![Vec::new(); n_cands];
-    let mut f_count = vec![0u32; n_users];
-    let mut influenced_by_candidate = vec![false; n_users];
-
-    let t = Instant::now();
-    for (o, user) in problem.users.iter().enumerate() {
-        let Some(radius) = mmr.get(user.len()) else {
-            stats.nib_decided += n_cands as u64;
-            continue;
-        };
-        let (mut ia, mut nib, mut verified) = (0, 0, 0);
-        for c in classify(
-            &rt_c,
-            n_cands,
-            user,
-            radius,
-            &mut ia,
-            &mut nib,
-            &mut verified,
-        ) {
-            omega_c[c as usize].push(o as u32);
-            influenced_by_candidate[o] = true;
-        }
-        stats.ia_decided += ia;
-        stats.nib_decided += nib;
-        stats.verified += verified;
-    }
-    for (o, user) in problem.users.iter().enumerate() {
-        if !influenced_by_candidate[o] {
-            stats.irrelevant += n_facs as u64;
-            continue;
-        }
-        let Some(radius) = mmr.get(user.len()) else {
-            stats.nib_decided += n_facs as u64;
-            continue;
-        };
-        let (mut ia, mut nib, mut verified) = (0, 0, 0);
-        f_count[o] += classify(
-            &rt_f,
-            n_facs,
-            user,
-            radius,
-            &mut ia,
-            &mut nib,
-            &mut verified,
-        )
-        .len() as u32;
-        stats.ia_decided += ia;
-        stats.nib_decided += nib;
-        stats.verified += verified;
-    }
-    times.verification = t.elapsed();
-    stats.prob_evals = counter.get();
-    (InfluenceSets::new(omega_c, f_count), stats, times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +180,7 @@ mod tests {
     fn matches_baseline_on_random_instances() {
         for seed in 1..15u64 {
             let p = random_problem(seed, 40, 8, 10);
-            let (a, _, _) = baseline::influence_sets(&p);
+            let (a, _, _) = baseline::influence_sets(&p, 1);
             let (b, _, _) = influence_sets(&p);
             assert_eq!(a.csr(), b.csr(), "omega_c diverged, seed={seed}");
             // f_count may differ on users influenced by no candidate (k-CIFP
@@ -339,34 +193,6 @@ mod tests {
                         "f_count diverged for influenced user {o}, seed={seed}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn faithful_two_query_variant_matches_combined() {
-        for seed in 1..10u64 {
-            let p = random_problem(seed, 50, 10, 12);
-            let (a, a_stats, _) = influence_sets(&p);
-            let (b, b_stats, _) = influence_sets_faithful(&p);
-            assert_eq!(a.csr(), b.csr(), "seed={seed}");
-            for list in a.iter_omegas() {
-                for &o in list {
-                    assert_eq!(a.f_count[o as usize], b.f_count[o as usize], "seed={seed}");
-                }
-            }
-            // Both ledgers balance.
-            for s in [a_stats, b_stats] {
-                assert_eq!(
-                    s.is_decided
-                        + s.nir_decided
-                        + s.ia_decided
-                        + s.nib_decided
-                        + s.irrelevant
-                        + s.verified,
-                    s.pairs_total,
-                    "seed={seed}"
-                );
             }
         }
     }

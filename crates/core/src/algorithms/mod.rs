@@ -194,37 +194,26 @@ pub fn solve<PF: ProbabilityFunction>(problem: &Problem<PF>, method: Method) -> 
     solve_with(problem, method, Selector::Greedy)
 }
 
-/// [`solve`] with an explicit selection strategy.
+/// [`solve`] with an explicit selection strategy: [`solve_threaded`] at
+/// one thread.
 pub fn solve_with<PF: ProbabilityFunction>(
     problem: &Problem<PF>,
     method: Method,
     selector: Selector,
 ) -> RunReport {
-    let (sets, stats, mut times) = influence_sets(problem, method);
-    let t = Instant::now();
-    let (solution, selection) = select_sets(selector, &sets, problem.k, 1, &problem.model);
-    times.selection = t.elapsed();
-    RunReport {
-        solution,
-        stats,
-        selection,
-        times,
-    }
+    solve_threaded(problem, method, selector, 1)
 }
 
 /// Runs only the influence-relationship phases of `method`, returning the
-/// resulting sets plus pruning counters and phase timings. Exposed so the
-/// benchmarks can measure phases separately and so the exact solver can
-/// reuse any method's sets.
+/// resulting sets plus pruning counters and phase timings:
+/// [`influence_sets_threaded`] at one thread. Exposed so the benchmarks can
+/// measure phases separately and so the exact solver can reuse any
+/// method's sets.
 pub fn influence_sets<PF: ProbabilityFunction>(
     problem: &Problem<PF>,
     method: Method,
 ) -> (InfluenceSets, PruneStats, PhaseTimes) {
-    match method {
-        Method::Baseline => baseline::influence_sets(problem),
-        Method::KCifp => kcifp::influence_sets(problem),
-        Method::Iqt(config) => iqt::influence_sets(problem, &config),
-    }
+    influence_sets_threaded(problem, method, 1)
 }
 
 /// [`solve_with`] with an explicit worker-thread count for the influence
@@ -256,13 +245,14 @@ pub fn solve_threaded<PF: ProbabilityFunction>(
 ///
 /// * [`Method::Iqt`] runs the chunked IQuad-tree pipeline
 ///   ([`iqt::influence_sets_parallel`]): traversal, NIB/IA refinement and
-///   exact verification all fan out; sets **and** `PruneStats` are
-///   bit-identical to serial.
-/// * [`Method::Baseline`] runs the chunked exhaustive scan with per-worker
-///   evaluation counters; its whole cost is verification, so `PhaseTimes`
-///   reports the wall-clock of the scan there.
+///   exact verification all fan out.
+/// * [`Method::Baseline`] runs the chunked exhaustive scan
+///   ([`baseline::influence_sets`]).
 /// * [`Method::KCifp`] stays serial (its R-tree walk shares mutable
 ///   per-candidate state); `threads` is ignored.
+///
+/// Sets **and** `PruneStats` are bit-identical at any thread count, and
+/// one thread runs every phase inline on the caller.
 ///
 /// # Panics
 /// Panics when `threads == 0`.
@@ -273,26 +263,7 @@ pub fn influence_sets_threaded<PF: ProbabilityFunction>(
 ) -> (InfluenceSets, PruneStats, PhaseTimes) {
     assert!(threads >= 1, "need at least one worker thread");
     match method {
-        Method::Baseline => {
-            if threads == 1 {
-                return baseline::influence_sets(problem);
-            }
-            let t0 = Instant::now();
-            let (sets, counts) = crate::parallel::baseline_influence_sets_counted(problem, threads);
-            let pairs =
-                ((problem.n_candidates() + problem.n_facilities()) * problem.n_users()) as u64;
-            let mut stats = PruneStats {
-                pairs_total: pairs,
-                verified: pairs,
-                ..PruneStats::default()
-            };
-            counts.add_to(&mut stats);
-            let times = PhaseTimes {
-                verification: t0.elapsed(),
-                ..PhaseTimes::default()
-            };
-            (sets, stats, times)
-        }
+        Method::Baseline => baseline::influence_sets(problem, threads),
         Method::KCifp => kcifp::influence_sets(problem),
         Method::Iqt(config) => iqt::influence_sets_parallel(problem, &config, threads),
     }

@@ -37,7 +37,6 @@ pub mod parallel;
 mod problem;
 pub mod pruning;
 pub mod shard;
-pub mod sketch;
 mod solution;
 mod stats;
 pub mod update;

@@ -14,9 +14,6 @@
 //! the two stitching conventions the pipeline needs (per-item results in
 //! order; order-independent partial aggregates).
 
-use crate::verify::{Verifier, VerifyCounts};
-use crate::{InfluenceSets, Problem};
-use mc2ls_influence::ProbabilityFunction;
 use std::ops::Range;
 
 /// Splits `0..n_items` into at most `threads` contiguous ranges, runs
@@ -95,86 +92,11 @@ where
     total
 }
 
-/// Exhaustive influence computation across `threads` workers. Equivalent to
-/// the Baseline's sets (same `omega_c`, same `f_count`), just faster on
-/// multi-core machines.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub fn baseline_influence_sets_parallel<PF: ProbabilityFunction>(
-    problem: &Problem<PF>,
-    threads: usize,
-) -> InfluenceSets {
-    baseline_influence_sets_counted(problem, threads).0
-}
-
-/// [`baseline_influence_sets_parallel`] plus the verification counters.
-/// The blocked substrate is built once on the calling thread and shared by
-/// reference (it is immutable and `Sync`); each worker counts on private
-/// scratch (no atomic contention), and the per-chunk totals sum to exactly
-/// the serial counts because every stop is decided per pair.
-///
-/// # Panics
-/// Panics when `threads == 0`.
-pub(crate) fn baseline_influence_sets_counted<PF: ProbabilityFunction>(
-    problem: &Problem<PF>,
-    threads: usize,
-) -> (InfluenceSets, VerifyCounts) {
-    assert!(threads >= 1, "need at least one worker thread");
-    let n_users = problem.n_users();
-    let verifier = Verifier::build(problem);
-
-    // Candidates: each worker owns a disjoint chunk of candidate indices.
-    let cand_chunks = map_chunks(problem.n_candidates(), threads, |range| {
-        let mut scratch = verifier.scratch();
-        let lists: Vec<Vec<u32>> = range
-            .map(|ci| {
-                let c = &problem.candidates[ci];
-                (0..n_users as u32)
-                    .filter(|&o| verifier.influences(c, o, &mut scratch))
-                    .collect()
-            })
-            .collect();
-        (lists, scratch.counts())
-    });
-    let mut omega_c = Vec::with_capacity(problem.n_candidates());
-    let mut counts = VerifyCounts::default();
-    for (lists, part) in cand_chunks {
-        omega_c.extend(lists);
-        counts.merge(part);
-    }
-
-    // Facilities: workers produce partial |F_o| vectors, summed afterwards.
-    let (f_count, fac_counts) = sum_folds(
-        problem.n_facilities(),
-        threads,
-        || (vec![0u32; n_users], verifier.scratch()),
-        |(local, scratch), range| {
-            for f in &problem.facilities[range] {
-                for (o, cnt) in local.iter_mut().enumerate() {
-                    if verifier.influences(f, o as u32, scratch) {
-                        *cnt += 1;
-                    }
-                }
-            }
-        },
-        |(total, t_scratch), (part, p_scratch)| {
-            for (t, p) in total.iter_mut().zip(part) {
-                *t += p;
-            }
-            t_scratch.absorb(&p_scratch);
-        },
-    );
-
-    let mut total = counts;
-    total.merge(fac_counts.counts());
-    (InfluenceSets::new(omega_c, f_count), total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::baseline;
+    use crate::Problem;
     use mc2ls_geo::Point;
     use mc2ls_influence::{MovingUser, Sigmoid};
 
@@ -210,10 +132,11 @@ mod tests {
     fn parallel_matches_serial_exactly() {
         for seed in [1u64, 2, 3] {
             let p = problem(seed);
-            let (serial, _, _) = baseline::influence_sets(&p);
-            for threads in [1usize, 2, 4, 7] {
-                let par = baseline_influence_sets_parallel(&p, threads);
+            let (serial, serial_stats, _) = baseline::influence_sets(&p, 1);
+            for threads in [2usize, 4, 7] {
+                let (par, par_stats, _) = baseline::influence_sets(&p, threads);
                 assert_eq!(serial, par, "threads={threads}");
+                assert_eq!(serial_stats, par_stats, "threads={threads}");
             }
         }
     }
@@ -221,7 +144,7 @@ mod tests {
     #[test]
     fn more_threads_than_work_is_fine() {
         let p = problem(9);
-        let par = baseline_influence_sets_parallel(&p, 64);
+        let (par, _, _) = baseline::influence_sets(&p, 64);
         assert_eq!(par.n_candidates(), p.n_candidates());
     }
 
@@ -253,6 +176,6 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let p = problem(4);
-        baseline_influence_sets_parallel(&p, 0);
+        baseline::influence_sets(&p, 0);
     }
 }

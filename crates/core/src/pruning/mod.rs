@@ -22,7 +22,7 @@ mod mmr_table;
 
 pub use mmr_table::MmrTable;
 
-use mc2ls_geo::{Circle, Point, Rect};
+use mc2ls_geo::{Point, Rect};
 
 /// True when `v` lies in the user's IA region: `max_dist(v, MBR) ≤ mMR`.
 ///
@@ -47,19 +47,6 @@ pub fn nib_contains(user_mbr: &Rect, v: &Point, mmr: f64) -> bool {
 #[inline]
 pub fn nib_query_rect(user_mbr: &Rect, mmr: f64) -> Rect {
     user_mbr.inflate(mmr)
-}
-
-/// A circle certainly contained in the IA region (centred on the MBR centre
-/// with radius `mMR − diagonal/2`), or `None` when the MBR is too large for
-/// any such circle. Useful as a cheap query window; exactness is restored
-/// by testing hits with [`ia_contains`].
-pub fn ia_inner_circle(user_mbr: &Rect, mmr: f64) -> Option<Circle> {
-    let r = mmr - user_mbr.diagonal() * 0.5;
-    if r <= 0.0 {
-        None
-    } else {
-        Some(Circle::new(user_mbr.center(), r))
-    }
 }
 
 #[cfg(test)]
@@ -123,27 +110,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn inner_circle_is_subset_of_ia() {
-        let u = user();
-        let mmr = 1.2;
-        let circle = ia_inner_circle(u.mbr(), mmr).unwrap();
-        for i in -10..10 {
-            for j in -10..10 {
-                let v = Point::new(i as f64 * 0.1, j as f64 * 0.1);
-                if circle.contains(&v) {
-                    assert!(ia_contains(u.mbr(), &v, mmr));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn inner_circle_none_for_large_mbr() {
-        let wide = MovingUser::new(vec![Point::new(0.0, 0.0), Point::new(10.0, 10.0)]);
-        assert!(ia_inner_circle(wide.mbr(), 1.0).is_none());
     }
 
     #[test]

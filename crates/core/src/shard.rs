@@ -184,44 +184,74 @@ pub struct ShardView<'a> {
     pub inv: CsrView<'a>,
 }
 
+/// Why [`parse_shard_view`] rejected a shard's payloads.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ShardError {
+    /// The forward payload (`InfluenceSets::to_bytes`) is malformed on its
+    /// own.
+    Forward(CodecError),
+    /// The inverted payload (`InvertedIndex::to_bytes`) is malformed on its
+    /// own, candidate ids past the candidate count included.
+    Inverted(CodecError),
+    /// Both payloads are well-formed but disagree with each other or with
+    /// the candidate count.
+    Mismatch(&'static str),
+}
+
 /// Parses one shard's forward payload (`InfluenceSets::to_bytes` of the
 /// shard-local sets) and inverted payload (`InvertedIndex::to_bytes`) into
 /// a fully validated [`ShardView`] without copying any array.
 ///
 /// # Errors
-/// [`CodecError`] when either payload is malformed, truncated, carries
-/// trailing bytes, or violates a CSR/cross-array invariant.
+/// A [`ShardError`] naming the payload at fault when either payload is
+/// malformed, truncated, carries trailing bytes or violates a CSR
+/// invariant, or [`ShardError::Mismatch`] when the two disagree.
 pub fn parse_shard_view<'a>(
     user_base: u32,
     fwd_payload: &'a [u8],
     inv_payload: &'a [u8],
     n_candidates: u32,
-) -> Result<ShardView<'a>, CodecError> {
+) -> Result<ShardView<'a>, ShardError> {
     let mut r = ByteReader::new(fwd_payload);
-    let offsets = r.get_u32_view("InfluenceSets.offsets")?;
-    let ids = r.get_u32_view("InfluenceSets.user_ids")?;
-    let f_count = r.get_u32_view("InfluenceSets.f_count")?;
-    r.expect_end()?;
+    let offsets = r
+        .get_u32_view("InfluenceSets.offsets")
+        .map_err(ShardError::Forward)?;
+    let ids = r
+        .get_u32_view("InfluenceSets.user_ids")
+        .map_err(ShardError::Forward)?;
+    let f_count = r
+        .get_u32_view("InfluenceSets.f_count")
+        .map_err(ShardError::Forward)?;
+    r.expect_end().map_err(ShardError::Forward)?;
     if f_count.len() > u32::MAX as usize {
-        return Err(CodecError::Invalid("shard user count exceeds u32"));
+        return Err(ShardError::Forward(CodecError::Invalid(
+            "shard user count exceeds u32",
+        )));
     }
     // lint:allow(narrowing-cast): bounded by the u32::MAX check above
     let n_users = f_count.len() as u32;
-    let fwd = CsrView::new(offsets, ids, n_users).map_err(CodecError::Invalid)?;
-    if fwd.n_rows() != n_candidates as usize {
-        return Err(CodecError::Invalid("shard candidate row count mismatch"));
-    }
+    let fwd = CsrView::new(offsets, ids, n_users)
+        .map_err(|e| ShardError::Forward(CodecError::Invalid(e)))?;
 
     let mut r = ByteReader::new(inv_payload);
-    let offsets = r.get_u32_view("InvertedIndex.offsets")?;
-    let cand_ids = r.get_u32_view("InvertedIndex.cand_ids")?;
-    r.expect_end()?;
-    let inv = CsrView::new(offsets, cand_ids, n_candidates).map_err(CodecError::Invalid)?;
+    let offsets = r
+        .get_u32_view("InvertedIndex.offsets")
+        .map_err(ShardError::Inverted)?;
+    let cand_ids = r
+        .get_u32_view("InvertedIndex.cand_ids")
+        .map_err(ShardError::Inverted)?;
+    r.expect_end().map_err(ShardError::Inverted)?;
+    let inv = CsrView::new(offsets, cand_ids, n_candidates)
+        .map_err(|e| ShardError::Inverted(CodecError::Invalid(e)))?;
+
+    if fwd.n_rows() != n_candidates as usize {
+        return Err(ShardError::Mismatch("shard candidate row count mismatch"));
+    }
     if inv.n_rows() != f_count.len() {
-        return Err(CodecError::Invalid("inverted row count mismatch"));
+        return Err(ShardError::Mismatch("inverted row count mismatch"));
     }
     if inv.total_ids() != fwd.total_ids() {
-        return Err(CodecError::Invalid("inverted entry count mismatch"));
+        return Err(ShardError::Mismatch("inverted entry count mismatch"));
     }
 
     Ok(ShardView {

@@ -1,11 +1,10 @@
-//! Parallel ≡ serial: the chunked IQuad-tree pipeline and the parallel
-//! baseline must reproduce the serial results **bit-identically** — same
+//! Parallel ≡ serial: the chunked IQuad-tree pipeline and the chunked
+//! baseline must reproduce their one-thread results **bit-identically** — same
 //! `Ω_c` (CSR arrays included), same `|F_o|`, same `PruneStats` — for every
 //! thread count, because chunking only moves work between threads, never
 //! changes it.
 
 use mc2ls_core::algorithms::{baseline, iqt, run_selector, IqtConfig, Selector};
-use mc2ls_core::parallel::baseline_influence_sets_parallel;
 use mc2ls_core::{InfluenceSets, Problem};
 use mc2ls_geo::Point;
 use mc2ls_influence::{MovingUser, Sigmoid};
@@ -93,12 +92,16 @@ fn iqt_parallel_is_bit_identical_across_20_instances() {
 fn baseline_parallel_is_bit_identical_across_20_instances() {
     for seed in 100..=120u64 {
         let p = random_problem(seed);
-        let (serial_sets, _, _) = baseline::influence_sets(&p);
+        let (serial_sets, serial_stats, _) = baseline::influence_sets(&p, 1);
         for threads in THREAD_COUNTS {
-            let par_sets = baseline_influence_sets_parallel(&p, threads);
+            let (par_sets, par_stats, _) = baseline::influence_sets(&p, threads);
             assert_eq!(
                 serial_sets, par_sets,
                 "baseline diverged: seed={seed} threads={threads}"
+            );
+            assert_eq!(
+                serial_stats, par_stats,
+                "baseline PruneStats diverged: seed={seed} threads={threads}"
             );
         }
     }

@@ -18,8 +18,7 @@
 //!   (user scaling) and Fig. 15/16 (position-count scaling) experiments;
 //! * [`serialize`] — JSON persistence and SNAP-format export, so synthetic
 //!   datasets interoperate with tools expecting the real dumps;
-//! * [`trajectory`] — time-ordered commuter traces with slot tags, feeding
-//!   the temporal variant.
+//! * [`trajectory`] — time-ordered commuter traces with slot tags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

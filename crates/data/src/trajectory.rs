@@ -4,9 +4,8 @@
 //! position multisets — enough for the static MC²LS experiments. This
 //! module generates **trajectories**: time-ordered traces following a
 //! commuter pattern (home ↔ work anchors with noisy dwell positions),
-//! tagged with the time slot of each record. Traces feed the temporal
-//! variant directly and degrade gracefully to [`MovingUser`]s for the
-//! static problem.
+//! tagged with the time slot of each record. Traces degrade gracefully
+//! to [`MovingUser`]s for the static problem.
 
 use mc2ls_geo::Point;
 use mc2ls_influence::MovingUser;

@@ -36,9 +36,6 @@
 //! | [`index`] | R-tree and the paper's IQuad-tree |
 //! | [`core`] | the MC²LS problem, pruning rules, Baseline / k-CIFP / IQT / exact algorithms |
 //! | [`data`] | calibrated dataset generators, SNAP loaders, samplers, persistence |
-//! | [`social`] | geo-social extension: friendship graphs, cascades, MC²LS-S |
-//! | [`roadnet`] | road networks, Dijkstra, network-distance MC²LS |
-//! | [`temporal`] | time-slot-aware MC²LS |
 //! | [`viz`] | SVG maps of datasets and solutions |
 
 #![forbid(unsafe_code)]
@@ -49,9 +46,6 @@ pub use mc2ls_data as data;
 pub use mc2ls_geo as geo;
 pub use mc2ls_index as index;
 pub use mc2ls_influence as influence;
-pub use mc2ls_roadnet as roadnet;
-pub use mc2ls_social as social;
-pub use mc2ls_temporal as temporal;
 pub use mc2ls_viz as viz;
 
 /// The one-import convenience module.

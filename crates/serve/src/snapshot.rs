@@ -42,6 +42,7 @@
 //! is re-verified by the same checks a full decode runs.
 
 use crate::error::SnapshotError;
+use crate::view::validate;
 use mc2ls_core::algorithms::{influence_sets_threaded, IqtConfig, Method};
 use mc2ls_core::shard::{shard_starts, split_sets};
 use mc2ls_core::{InfluenceSets, InvertedIndex, Problem, PruneStats};
@@ -539,7 +540,9 @@ impl Snapshot {
         w.into_bytes()
     }
 
-    /// Decodes [`Snapshot::to_bytes`] output.
+    /// Decodes [`Snapshot::to_bytes`] output: validates the container with
+    /// the checks [`crate::LoadedSnapshot::from_bytes`] runs, then decodes
+    /// every artifact from the validated ranges.
     ///
     /// # Errors
     /// Every malformation maps to a typed [`SnapshotError`]: wrong magic or
@@ -547,75 +550,40 @@ impl Snapshot {
     /// codec violations, trailing bytes, or artifacts that disagree on the
     /// instance shape.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let frames = check_layout(bytes)?;
+        let layout = validate(bytes)?;
         let section = |name: &'static str| {
             move |source| SnapshotError::Codec {
                 section: name,
                 source,
             }
         };
-        let meta =
-            SnapshotMeta::from_bytes(&bytes[frames[0].payload.clone()]).map_err(section("META"))?;
-        if frames.len() != meta.n_sections() {
-            return Err(SnapshotError::Inconsistent(
-                "section count vs META shard manifest",
-            ));
-        }
-        let mut shards = Vec::with_capacity(meta.n_shards());
-        for s in 0..meta.n_shards() {
-            let group = &frames[1 + 3 * s..4 + 3 * s];
-            let sets = InfluenceSets::from_bytes(&bytes[group[0].payload.clone()])
-                .map_err(section("ISET"))?;
-            let inverted = InvertedIndex::from_bytes(&bytes[group[1].payload.clone()])
-                .map_err(section("IINV"))?;
-            let blocks = PositionBlocks::from_bytes(&bytes[group[2].payload.clone()])
-                .map_err(section("PBLK"))?;
+        let mut shards = Vec::with_capacity(layout.shard_ranges.len());
+        for ((iset, iinv), pblk) in layout.shard_ranges.iter().zip(&layout.pblk_ranges) {
+            let sets = InfluenceSets::from_bytes(&bytes[iset.clone()]).map_err(section("ISET"))?;
+            let inverted =
+                InvertedIndex::from_bytes(&bytes[iinv.clone()]).map_err(section("IINV"))?;
+            let blocks =
+                PositionBlocks::from_bytes(&bytes[pblk.clone()]).map_err(section("PBLK"))?;
+            // The validator matched ISET's user count to the manifest.
+            if blocks.n_users() != sets.n_users() {
+                return Err(SnapshotError::Inconsistent("PBLK user count vs manifest"));
+            }
             shards.push(ShardArtifacts {
                 sets,
                 inverted,
                 blocks,
             });
         }
-        let tree = IQuadTree::from_bytes(&bytes[frames[frames.len() - 1].payload.clone()])
-            .map_err(section("IQTR"))?;
-
-        let snapshot = Snapshot { meta, shards, tree };
-        snapshot.check_consistency()?;
-        Ok(snapshot)
-    }
-
-    /// Cross-artifact shape checks run after every decode. Separated out so
-    /// the engine can also assert a freshly built snapshot is coherent.
-    pub fn check_consistency(&self) -> Result<(), SnapshotError> {
-        let m = &self.meta;
-        if self.shards.len() != m.n_shards() {
-            return Err(SnapshotError::Inconsistent("shard count vs META manifest"));
-        }
-        for (s, shard) in self.shards.iter().enumerate() {
-            let size = (m.shard_starts[s + 1] - m.shard_starts[s]) as usize;
-            if shard.sets.n_users() != size {
-                return Err(SnapshotError::Inconsistent("ISET user count vs manifest"));
-            }
-            if shard.sets.n_candidates() != m.n_candidates {
-                return Err(SnapshotError::Inconsistent("ISET candidate count vs META"));
-            }
-            if shard.inverted.n_users() != size {
-                return Err(SnapshotError::Inconsistent("IINV user count vs manifest"));
-            }
-            if shard.inverted.len() != shard.sets.total_influences() {
-                return Err(SnapshotError::Inconsistent("IINV entry count vs ISET"));
-            }
-            if shard.blocks.n_users() != size {
-                return Err(SnapshotError::Inconsistent("PBLK user count vs manifest"));
-            }
-        }
-        if self.tree.stats().users != m.n_users {
+        let tree =
+            IQuadTree::from_bytes(&bytes[layout.tree_range.clone()]).map_err(section("IQTR"))?;
+        if tree.stats().users != layout.meta.n_users {
             return Err(SnapshotError::Inconsistent("IQTR user count vs META"));
         }
-        if m.default_k == 0 || m.default_k > m.n_candidates {
-            return Err(SnapshotError::Inconsistent("default_k out of range"));
-        }
-        Ok(())
+        Ok(Snapshot {
+            meta: layout.meta,
+            shards,
+            tree,
+        })
     }
 
     /// Writes the container to `path` (the conventional extension is

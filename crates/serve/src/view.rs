@@ -1,32 +1,116 @@
-//! Zero-copy snapshot loading: the query-plane view of a `.mc2s` file.
+//! Zero-copy snapshot loading: the query-plane view of a `.mc2s` file, and
+//! the one validator every container load runs.
 //!
-//! [`Snapshot::from_bytes`](crate::snapshot::Snapshot::from_bytes) decodes
-//! every artifact into owned structures — including the `f64`-heavy PBLK
-//! and IQTR sections a *serving* engine never touches (influence sets are
-//! precomputed, so queries run zero position verifications). That decode
-//! dominates cold start. [`LoadedSnapshot`] instead keeps the raw
-//! container bytes and **borrows** the CSR offset/id arrays directly from
-//! them through [`mc2ls_core::shard::CsrView`] (safe Rust, no `unsafe`):
+//! `validate` checks a container once, over its bytes:
 //!
-//! * container framing and every section CRC are verified once,
-//! * META is decoded (it is tiny and holds the shard manifest),
-//! * every shard's CSR invariants are validated once via
-//!   [`parse_shard_view`],
-//! * PBLK and IQTR stay as checksummed bytes — never decoded.
+//! * container framing and every section CRC,
+//! * META (it is tiny and holds the shard manifest) and the section count
+//!   it implies,
+//! * every shard's CSR invariants via [`parse_shard_view`], including
+//!   IINV's candidate ids against META's candidate count; an error names
+//!   the section at fault.
 //!
-//! Cold start therefore does `O(file)` checksum work and `O(edges)`
-//! integer validation, but allocates nothing proportional to the
-//! position data — I/O-dominated, not decode-dominated. Queries re-derive
-//! their shard views per call through the *trusted* (validation-free)
-//! parse, which only re-reads the `O(1)` array framing.
+//! It decodes nothing beyond META and returns where each payload lies.
+//! [`LoadedSnapshot`] keeps the raw container bytes and those ranges and
+//! **borrows** the CSR offset/id arrays directly from them through
+//! [`mc2ls_core::shard::CsrView`] (safe Rust, no `unsafe`); PBLK and IQTR
+//! stay as checksummed bytes. Cold start therefore does `O(file)` checksum
+//! work and `O(edges)` integer validation, but allocates nothing
+//! proportional to the position data — I/O-dominated, not
+//! decode-dominated. Queries re-derive their shard views per call through
+//! the *trusted* (validation-free) parse, which only re-reads the `O(1)`
+//! array framing.
+//!
+//! [`Snapshot::from_bytes`](crate::snapshot::Snapshot::from_bytes) runs the
+//! same `validate` and then decodes every artifact into owned structures
+//! from its ranges, including the `f64`-heavy PBLK and IQTR sections a
+//! serving engine never touches.
 
 use crate::error::SnapshotError;
 use crate::snapshot::{check_layout, SnapshotMeta};
-use mc2ls_core::shard::{parse_shard_view, trusted_shard_view, ShardView};
+use mc2ls_core::shard::{parse_shard_view, trusted_shard_view, ShardError, ShardView};
 use mc2ls_geo::CodecError;
 use mc2ls_influence::PositionBlocks;
 use std::ops::Range;
 use std::sync::OnceLock;
+
+/// Where a validated container keeps its sections.
+#[derive(Debug)]
+pub(crate) struct Layout {
+    /// The decoded META section.
+    pub meta: SnapshotMeta,
+    /// Per shard, in manifest order: (ISET payload range, IINV payload
+    /// range).
+    pub shard_ranges: Vec<(Range<usize>, Range<usize>)>,
+    /// Per shard: PBLK payload range (CRC-verified, not decoded).
+    pub pblk_ranges: Vec<Range<usize>>,
+    /// IQTR payload range (CRC-verified, not decoded).
+    pub tree_range: Range<usize>,
+}
+
+/// Validates `bytes` as a container of the current version: framing, CRCs,
+/// META invariants, the section count, every CSR invariant and cross-array
+/// consistency of the query plane. Copies no payload and decodes nothing
+/// beyond META; PBLK and IQTR are checked only by their CRCs.
+///
+/// # Errors
+/// A typed [`SnapshotError`] for any malformation, naming the section at
+/// fault; never panics.
+pub(crate) fn validate(bytes: &[u8]) -> Result<Layout, SnapshotError> {
+    let frames = check_layout(bytes)?;
+    let section = |name: &'static str| {
+        move |source| SnapshotError::Codec {
+            section: name,
+            source,
+        }
+    };
+    let meta =
+        SnapshotMeta::from_bytes(&bytes[frames[0].payload.clone()]).map_err(section("META"))?;
+    if frames.len() != meta.n_sections() {
+        return Err(SnapshotError::Inconsistent(
+            "section count vs META shard manifest",
+        ));
+    }
+
+    let n_candidates = u32::try_from(meta.n_candidates)
+        .map_err(|_| SnapshotError::Inconsistent("candidate count exceeds the u32 id space"))?;
+    let mut shard_ranges = Vec::with_capacity(meta.n_shards());
+    let mut pblk_ranges = Vec::with_capacity(meta.n_shards());
+    for s in 0..meta.n_shards() {
+        let iset = frames[1 + 3 * s].payload.clone();
+        let iinv = frames[2 + 3 * s].payload.clone();
+        pblk_ranges.push(frames[3 + 3 * s].payload.clone());
+        let view = parse_shard_view(
+            meta.shard_starts[s],
+            &bytes[iset.clone()],
+            &bytes[iinv.clone()],
+            n_candidates,
+        )
+        .map_err(|e| match e {
+            ShardError::Forward(source) => SnapshotError::Codec {
+                section: "ISET",
+                source,
+            },
+            ShardError::Inverted(source) => SnapshotError::Codec {
+                section: "IINV",
+                source,
+            },
+            ShardError::Mismatch(what) => SnapshotError::Inconsistent(what),
+        })?;
+        let size = (meta.shard_starts[s + 1] - meta.shard_starts[s]) as usize;
+        if view.n_users as usize != size {
+            return Err(SnapshotError::Inconsistent("ISET user count vs manifest"));
+        }
+        shard_ranges.push((iset, iinv));
+    }
+
+    Ok(Layout {
+        meta,
+        shard_ranges,
+        pblk_ranges,
+        tree_range: frames[frames.len() - 1].payload.clone(),
+    })
+}
 
 /// A validated `.mc2s` container held as raw bytes, exposing zero-copy
 /// shard views instead of decoded artifacts.
@@ -46,53 +130,19 @@ pub struct LoadedSnapshot {
 }
 
 impl LoadedSnapshot {
-    /// Validates `bytes` as a container of the current version and indexes
-    /// its sections.
-    ///
-    /// Verifies everything a full decode verifies about the *query plane*
-    /// — framing, CRCs, META invariants, every CSR invariant, cross-array
-    /// consistency — but leaves PBLK and IQTR as bytes.
+    /// Validates `bytes` as a container of the current version (the
+    /// module's one validator) and keeps them with its section ranges.
+    /// Leaves PBLK and IQTR as bytes.
     ///
     /// # Errors
     /// A typed [`SnapshotError`] for any malformation; never panics.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<LoadedSnapshot, SnapshotError> {
-        let frames = check_layout(&bytes)?;
-        let section = |name: &'static str| {
-            move |source| SnapshotError::Codec {
-                section: name,
-                source,
-            }
-        };
-        let meta =
-            SnapshotMeta::from_bytes(&bytes[frames[0].payload.clone()]).map_err(section("META"))?;
-        if frames.len() != meta.n_sections() {
-            return Err(SnapshotError::Inconsistent(
-                "section count vs META shard manifest",
-            ));
-        }
-
-        let n_candidates = u32::try_from(meta.n_candidates)
-            .map_err(|_| SnapshotError::Inconsistent("candidate count exceeds the u32 id space"))?;
-        let mut shard_ranges = Vec::with_capacity(meta.n_shards());
-        let mut pblk_ranges = Vec::with_capacity(meta.n_shards());
-        for s in 0..meta.n_shards() {
-            let iset = frames[1 + 3 * s].payload.clone();
-            let iinv = frames[2 + 3 * s].payload.clone();
-            pblk_ranges.push(frames[3 + 3 * s].payload.clone());
-            let view = parse_shard_view(
-                meta.shard_starts[s],
-                &bytes[iset.clone()],
-                &bytes[iinv.clone()],
-                n_candidates,
-            )
-            .map_err(section("ISET"))?;
-            let size = (meta.shard_starts[s + 1] - meta.shard_starts[s]) as usize;
-            if view.n_users as usize != size {
-                return Err(SnapshotError::Inconsistent("ISET user count vs manifest"));
-            }
-            shard_ranges.push((iset, iinv));
-        }
-
+        let Layout {
+            meta,
+            shard_ranges,
+            pblk_ranges,
+            ..
+        } = validate(&bytes)?;
         Ok(LoadedSnapshot {
             bytes,
             meta,

@@ -6,7 +6,7 @@
 use mc2ls_core::{Problem, PruneStats};
 use mc2ls_geo::{codec::crc32, Point};
 use mc2ls_influence::{MovingUser, Sigmoid};
-use mc2ls_serve::{ShardArtifacts, Snapshot, SnapshotError};
+use mc2ls_serve::{LoadedSnapshot, QueryEngine, ShardArtifacts, Snapshot, SnapshotError};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -279,5 +279,135 @@ fn built_artifacts_match_their_pinned_bytes() {
                 .join("\n")
         );
         assert_eq!(stats, pinned_stats, "{shards} shard(s): prune stats");
+    }
+}
+
+/// Each section's tag and payload range, in container order.
+fn payloads(bytes: &[u8]) -> Vec<([u8; 4], std::ops::Range<usize>)> {
+    let mut out = Vec::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let tag = bytes[at..at + 4].try_into().unwrap();
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        out.push((tag, at + 16..at + 16 + len));
+        at += 16 + len;
+    }
+    out
+}
+
+/// Re-stores the CRC of the section whose payload is `payload`, so only
+/// its content differs from what the writer produced.
+fn fix_crc(bytes: &mut [u8], payload: &std::ops::Range<usize>) {
+    let crc = crc32(&bytes[payload.clone()]);
+    bytes[payload.start - 4..payload.start].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// `bytes` with the last candidate id of the first non-empty IINV section
+/// rewritten to `n_candidates`, one past the last valid id, under a
+/// consistent CRC. The row stays strictly sorted and every count still
+/// agrees with ISET, so only the id bound is broken.
+fn out_of_range_iinv(bytes: &[u8], n_candidates: usize) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    let (_, payload) = payloads(bytes)
+        .into_iter()
+        .find(|(tag, range)| {
+            // IINV = [u64 n][n offsets][u64 m][m candidate ids].
+            if tag != b"IINV" {
+                return false;
+            }
+            let n = u64::from_le_bytes(bytes[range.start..range.start + 8].try_into().unwrap());
+            let ids_at = range.start + 8 + 4 * n as usize;
+            bytes[ids_at..ids_at + 8] != [0; 8]
+        })
+        .expect("a non-empty IINV section");
+    let id = u32::try_from(n_candidates).unwrap().to_le_bytes();
+    bad[payload.end - 4..payload.end].copy_from_slice(&id);
+    fix_crc(&mut bad, &payload);
+    bad
+}
+
+fn is_iinv_codec_error<T>(result: &Result<T, SnapshotError>) -> bool {
+    matches!(
+        result,
+        Err(SnapshotError::Codec {
+            section: "IINV",
+            ..
+        })
+    )
+}
+
+/// Every load path runs the same validator, so a candidate id past META's
+/// candidate count is one typed IINV error on all of them: the owned
+/// decode, the file load, the zero-copy view and the engine's cold start.
+#[test]
+fn every_load_path_rejects_an_out_of_range_iinv_candidate() {
+    let problem = random_problem(5, 24, 6, 3);
+    for shards in [1usize, 2] {
+        let (snap, _) = Snapshot::build_sharded("probe", &problem, 2.0, 1, shards);
+        let bad = out_of_range_iinv(&snap.to_bytes(), snap.meta.n_candidates);
+        assert!(is_iinv_codec_error(&Snapshot::from_bytes(&bad)), "{shards}");
+        let path = std::env::temp_dir().join(format!("mc2ls-iinv-probe-{shards}.mc2s"));
+        std::fs::write(&path, &bad).unwrap();
+        assert!(is_iinv_codec_error(&Snapshot::load(&path)), "{shards}");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            is_iinv_codec_error(&LoadedSnapshot::from_bytes(bad.clone())),
+            "{shards}"
+        );
+        assert!(
+            is_iinv_codec_error(&QueryEngine::from_bytes(bad, 1)),
+            "{shards}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+    /// One validator: the owned decode never accepts a container the view
+    /// rejects. Payload mutations of META, ISET and IINV under recomputed
+    /// CRCs reach past the checksums into every structural check; whenever
+    /// `Snapshot::from_bytes` accepts one, the view accepts it too and the
+    /// engine wraps the decoded snapshot without panicking.
+    #[test]
+    fn owned_decode_accepts_only_what_the_view_accepts(
+        seed in 0u64..10_000,
+        shards in 1usize..4,
+    ) {
+        let problem = random_problem(seed, 12, 5, 2);
+        let (snap, _) = Snapshot::build_sharded("prop", &problem, 2.0, 1, shards);
+        let bytes = snap.to_bytes();
+        let targets: Vec<_> = payloads(&bytes)
+            .into_iter()
+            .filter(|(tag, range)| {
+                [*b"META", *b"ISET", *b"IINV"].contains(tag) && !range.is_empty()
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..32 {
+            let (_, payload) = &targets[rng.gen_range(0..targets.len())];
+            let mut bad = bytes.clone();
+            let at = rng.gen_range(payload.clone());
+            if rng.gen_bool(0.5) {
+                // One byte, any bits.
+                bad[at] ^= rng.gen_range(1..=255u8);
+            } else {
+                // One aligned word set to a small id or count: the values
+                // the structural checks compare.
+                let word = payload.start + (at - payload.start) / 4 * 4;
+                if word + 4 <= payload.end {
+                    let v: u32 = rng.gen_range(0..20);
+                    bad[word..word + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            fix_crc(&mut bad, payload);
+            if let Ok(decoded) = Snapshot::from_bytes(&bad) {
+                prop_assert!(
+                    LoadedSnapshot::from_bytes(bad.clone()).is_ok(),
+                    "view rejected a container the owned decode accepted"
+                );
+                let _ = QueryEngine::new(decoded, 1);
+            }
+        }
     }
 }

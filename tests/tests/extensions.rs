@@ -1,13 +1,10 @@
-//! Integration tests across the extension crates: geo-social, road-network
-//! and temporal variants plugged into the calibrated datasets, plus the
-//! analysis/budgeted layers over real influence sets.
+//! Integration tests for the layers built on a solved instance: the
+//! analysis reports and the budgeted selector over real influence sets,
+//! and the SVG scene.
 
 use mc2ls::core::algorithms::budgeted::{solve_budgeted, solve_budgeted_exact};
-use mc2ls::core::{analysis, sketch};
+use mc2ls::core::analysis;
 use mc2ls::prelude::*;
-use mc2ls::roadnet::{solve_network, NetworkProblem, RoadNetwork};
-use mc2ls::social::{solve_social, PropagationModel, SocialGraph, SocialProblem};
-use mc2ls::temporal::{solve_temporal, TemporalProblem, TimedUser};
 
 fn dataset() -> Dataset {
     presets::new_york_scaled(0.08).generate()
@@ -16,81 +13,6 @@ fn dataset() -> Dataset {
 fn base_problem(d: &Dataset, k: usize) -> Problem {
     let (c, f) = d.sample_sites_disjoint(25, 40, 3);
     Problem::new(d.users.clone(), f, c, k, 0.6, Sigmoid::paper_default())
-}
-
-#[test]
-fn social_extension_on_calibrated_dataset() {
-    let d = dataset();
-    let n = d.users.len();
-    let p = base_problem(&d, 4);
-    let graph = SocialGraph::small_world(n, 4, 0.2, (0.1, 0.6), 5);
-    let sp = SocialProblem::new(
-        p.clone(),
-        graph,
-        vec![],
-        PropagationModel::IndependentCascade {
-            samples: 8,
-            seed: 1,
-        },
-    );
-    let social = solve_social(&sp);
-    let plain = solve(&p, Method::Iqt(IqtConfig::default()));
-    // Social reach can only add to the same set's geo value.
-    assert!(social.scinf >= social.geo_cinf - 1e-9);
-    // Both pick k sites.
-    assert_eq!(social.selected.len(), 4);
-    assert_eq!(plain.solution.selected.len(), 4);
-}
-
-#[test]
-fn network_variant_on_calibrated_dataset() {
-    let d = dataset();
-    let extent = d.extent();
-    // A road grid spanning the dataset extent.
-    let spacing = extent.width().max(extent.height()) / 24.0;
-    let network = RoadNetwork::city_grid(25, 25, spacing, 9);
-    let (c, f) = d.sample_sites_disjoint(15, 20, 3);
-    let np = NetworkProblem::snap(&network, &d.users, &f, &c, 3, 0.6, Sigmoid::paper_default());
-    let sol = solve_network(&network, &np);
-    assert_eq!(sol.selected.len(), 3);
-    assert!(sol.cinf >= 0.0);
-    // The network objective never exceeds the Euclidean one's ceiling on
-    // total demand (distances only grow).
-    assert!(sol.cinf <= d.users.len() as f64);
-}
-
-#[test]
-fn temporal_variant_from_generated_traces() {
-    let traces = mc2ls::data::trajectory::TrajectoryConfig {
-        n_users: 300,
-        region_km: 25.0,
-        slots_per_day: 3,
-        days: 5,
-        dwell_spread_km: 0.5,
-        record_rate: 0.8,
-        seed: 17,
-    }
-    .generate();
-    let users: Vec<TimedUser> = traces.into_iter().map(TimedUser::new).collect();
-    // Candidates in a grid over the region.
-    let candidates: Vec<Point> = (0..9)
-        .map(|i| Point::new(4.0 + (i % 3) as f64 * 8.0, 4.0 + (i / 3) as f64 * 8.0))
-        .collect();
-    let problem = TemporalProblem {
-        users,
-        facilities: vec![Point::new(12.0, 12.0)],
-        candidates,
-        k: 3,
-        tau: 0.5,
-        pf: Sigmoid::paper_default(),
-        n_slots: 3,
-        slot_weights: vec![0.3, 0.4, 0.3],
-    };
-    let sol = solve_temporal(&problem);
-    assert_eq!(sol.selected.len(), 3);
-    for w in sol.marginal_gains.windows(2) {
-        assert!(w[0] >= w[1] - 1e-9, "temporal gains must be non-increasing");
-    }
 }
 
 #[test]
@@ -133,22 +55,6 @@ fn budgeted_selection_on_real_sets() {
     let g = solve_budgeted(&trimmed, &costs[..12], 6.0);
     let opt = solve_budgeted_exact(&trimmed, &costs[..12], 6.0);
     assert!(g.cinf >= (1.0 - (-0.5f64).exp()) * opt.cinf - 1e-9);
-}
-
-#[test]
-fn sketch_greedy_close_to_exact_on_real_sets() {
-    let d = dataset();
-    let p = base_problem(&d, 5);
-    let (sets, _, _) =
-        mc2ls::core::algorithms::influence_sets(&p, Method::Iqt(IqtConfig::default()));
-    let exact = mc2ls::core::algorithms::run_selector(Selector::Greedy, &sets, 5, 1).0;
-    let approx = sketch::select_sketched(&sets, 5, 48);
-    assert!(
-        approx.cinf >= 0.6 * exact.cinf,
-        "sketched {} vs exact {}",
-        approx.cinf,
-        exact.cinf
-    );
 }
 
 #[test]
