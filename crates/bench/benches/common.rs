@@ -6,17 +6,12 @@
 use mc2ls::prelude::*;
 use std::sync::Arc;
 
-/// Reduced dataset scales so `cargo bench` completes quickly while keeping
-/// both datasets' behavioural character.
+/// A reduced dataset scale so `cargo bench` completes quickly while keeping
+/// the dataset's behavioural character.
 pub const SCALE_C: f64 = 0.05;
-pub const SCALE_N: f64 = 0.2;
 
 pub fn dataset_c() -> Arc<Dataset> {
     mc2ls_bench::california(SCALE_C)
-}
-
-pub fn dataset_n() -> Arc<Dataset> {
-    mc2ls_bench::new_york(SCALE_N)
 }
 
 /// Default-parameter problem over a dataset at bench scale.

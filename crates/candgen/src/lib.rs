@@ -32,6 +32,5 @@
 mod sweep;
 
 pub use sweep::{
-    propose, propose_from_blocks, propose_soa, CandidateSite, Proposal, SweepConfig, SweepStats,
-    MAX_GRID_DEPTH,
+    propose, propose_from_blocks, CandidateSite, Proposal, SweepConfig, SweepStats, MAX_GRID_DEPTH,
 };

@@ -53,6 +53,7 @@ use std::ops::Range;
 /// Deepest quad subdivision the sweep will use (`2^16` cells per axis).
 /// Beyond this the grid outresolves any realistic dataset while the
 /// per-axis cell coordinates still interleave into one `u64` Morton code.
+// lint:allow(unread-pub): sweep_pinned.rs and sweep_edges.rs pin the depth cap the sweep applies
 pub const MAX_GRID_DEPTH: usize = 16;
 
 /// Positions bucketed per [`grid_cells`] call in the count pass: large
@@ -185,14 +186,25 @@ fn compact(v: u64) -> u64 {
     (v | (v >> 16)) & 0xFFFF_FFFF
 }
 
-/// [`propose_soa`] over a `Point` slice.
+/// Runs the sweep over the points' coordinates, split into parallel
+/// slices (the SoA layout of [`PositionBlocks`]). Returns the top-`m`
+/// window centers, best first.
+///
+/// Deterministic at any `cfg.threads`; an empty input yields an empty
+/// proposal; all-coincident positions yield exactly one site at that
+/// point; a window at least as large as the data extent yields exactly
+/// one site at the root center (every anchor clamps to the same window).
+///
+/// # Panics
+/// Panics when any coordinate is non-finite, or on an invalid config (see
+/// [`SweepConfig::new`]).
 pub fn propose(points: &[Point], cfg: &SweepConfig) -> Proposal {
     let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
     let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    propose_soa(&xs, &ys, cfg)
+    sweep(&[(&xs, &ys)], cfg)
 }
 
-/// [`propose_soa`] over the concatenated positions of one or more SoA
+/// [`propose`] over the concatenated positions of one or more SoA
 /// [`PositionBlocks`] — the serve layer's `PROPOSE` verb feeds a loaded
 /// snapshot's per-shard blocks here without touching the original user
 /// trajectories. Each shard's coordinate arrays are read in place. Shard
@@ -201,22 +213,6 @@ pub fn propose(points: &[Point], cfg: &SweepConfig) -> Proposal {
 pub fn propose_from_blocks(shards: &[PositionBlocks], cfg: &SweepConfig) -> Proposal {
     let parts: Vec<(&[f64], &[f64])> = shards.iter().map(PositionBlocks::positions).collect();
     sweep(&parts, cfg)
-}
-
-/// Runs the sweep over parallel coordinate slices (the SoA layout of
-/// [`PositionBlocks`]). Returns the top-`m` window centers, best first.
-///
-/// Deterministic at any `cfg.threads`; an empty input yields an empty
-/// proposal; all-coincident positions yield exactly one site at that
-/// point; a window at least as large as the data extent yields exactly
-/// one site at the root center (every anchor clamps to the same window).
-///
-/// # Panics
-/// Panics when `xs` and `ys` have different lengths, when any coordinate
-/// is non-finite, or on an invalid config (see [`SweepConfig::new`]).
-pub fn propose_soa(xs: &[f64], ys: &[f64], cfg: &SweepConfig) -> Proposal {
-    assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-    sweep(&[(xs, ys)], cfg)
 }
 
 /// The sweep over the concatenation of `parts`, each an equal-length

@@ -3,9 +3,7 @@
 //! handling (smallest Morton code wins), bit-determinism at any thread
 //! count, and a property test against a dense brute-force reference.
 
-use mc2ls_candgen::{
-    propose, propose_soa, CandidateSite, Proposal, SweepConfig, SweepStats, MAX_GRID_DEPTH,
-};
+use mc2ls_candgen::{propose, CandidateSite, Proposal, SweepConfig, SweepStats, MAX_GRID_DEPTH};
 use mc2ls_geo::{grid_coords, Extent, Point, Square};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -141,17 +139,6 @@ fn results_are_bit_identical_at_any_thread_count() {
         assert_sites_identical(&serial.sites, &par.sites, &format!("threads={threads}"));
         assert_eq!(serial.stats, par.stats, "threads={threads}: stats");
     }
-}
-
-#[test]
-fn soa_and_point_entry_points_agree() {
-    let mut rng = StdRng::seed_from_u64(19);
-    let points = cluster((2.0, 3.0), 120, 5.0, &mut rng);
-    let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-    let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-    let a = propose(&points, &SweepConfig::new(2.5, 5));
-    let b = propose_soa(&xs, &ys, &SweepConfig::new(2.5, 5));
-    assert_sites_identical(&a.sites, &b.sites, "soa vs points");
 }
 
 #[test]
@@ -320,7 +307,7 @@ fn lattice_points(cells: &[(u32, u32)], q: f64, shape: u8) -> Vec<Point> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `propose_soa` equals the dense reference bit for bit: sites (center
+    /// The sweep equals the dense reference bit for bit: sites (center
     /// bits, score, anchor) and every `SweepStats` field.
     #[test]
     fn propose_soa_matches_a_dense_reference(
@@ -352,9 +339,7 @@ proptest! {
         let cfg = SweepConfig::new(window, m)
             .with_min_separation(sep)
             .with_threads(threads);
-        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-        let got = propose_soa(&xs, &ys, &cfg);
+        let got = propose(&points, &cfg);
         let want = dense_reference(&points, &cfg);
         prop_assert_eq!(got.stats.cell.to_bits(), want.stats.cell.to_bits());
         prop_assert_eq!(got.stats, want.stats);

@@ -184,6 +184,16 @@ fn problem_from_flags(parsed: &Parsed) -> Result<(Problem<Sigmoid>, String), Box
                     format!("{path} proposes no sites"),
                 )));
             }
+            if !proposal
+                .sites
+                .iter()
+                .all(|s| s.center.x.is_finite() && s.center.y.is_finite())
+            {
+                return Err(Box::new(ArgError::BadValue(
+                    "candidates-file".into(),
+                    format!("{path} proposes a site whose centre is not finite"),
+                )));
+            }
             proposal.sites.iter().map(|s| s.center).collect()
         }
     };
@@ -221,6 +231,9 @@ fn solve_cmd<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     let selector = parse_selector(parsed)?;
 
     let (problem, _name) = problem_from_flags(parsed)?;
+    if let Method::Iqt(config) = method {
+        check_leaf_diagonal(parsed, &problem, config.leaf_diagonal)?;
+    }
     // The influence phases fan out over `threads` workers; the result is
     // bit-identical to the serial run for any thread count.
     let report = solve_threaded(&problem, method, selector, threads);
@@ -264,8 +277,9 @@ fn analyze<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     let (problem, _name) = problem_from_flags(parsed)?;
     let k = problem.k;
     let selector = parse_selector(parsed)?;
-    let (sets, _, _) =
-        mc2ls::core::algorithms::influence_sets(&problem, Method::Iqt(IqtConfig::default()));
+    let config = IqtConfig::default();
+    check_leaf_diagonal(parsed, &problem, config.leaf_diagonal)?;
+    let (sets, _, _) = mc2ls::core::algorithms::influence_sets(&problem, Method::Iqt(config));
     let (solution, _) = mc2ls::core::algorithms::run_selector(selector, &sets, k, 1);
 
     let demand = analysis::demand_summary(&sets);
@@ -444,20 +458,32 @@ fn snapshot_save<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
     Ok(())
 }
 
-/// `--leaf-diagonal` must be finite and positive, and need no more levels
-/// over the instance's extent than the IQuad-tree's Morton codes hold.
+/// The IQuad-tree's leaf diagonal — `--leaf-diagonal`, or the 2 km every
+/// command uses without it — must be finite and positive, and need no more
+/// levels over the instance's extent than the tree's Morton codes hold.
+/// Every command that builds the tree runs this first; the error quotes
+/// the value in force.
 fn check_leaf_diagonal(
     parsed: &Parsed,
     problem: &Problem<Sigmoid>,
     leaf_diagonal: f64,
-) -> Result<(), ArgError> {
-    if leaf_diagonal.is_finite()
-        && leaf_diagonal > 0.0
-        && IQuadTree::depth_for(&problem.users, leaf_diagonal) <= IQuadTree::MAX_DEPTH
-    {
-        return Ok(());
+) -> CmdResult {
+    let shown = parsed
+        .get("leaf-diagonal")
+        .map_or_else(|| leaf_diagonal.to_string(), str::to_string);
+    if !(leaf_diagonal.is_finite() && leaf_diagonal > 0.0) {
+        return Err(Box::new(ArgError::BadValue("leaf-diagonal".into(), shown)));
     }
-    Err(bad_value(parsed, "leaf-diagonal"))
+    let depth = IQuadTree::depth_for(&problem.users, leaf_diagonal);
+    if depth > IQuadTree::MAX_DEPTH {
+        return Err(format!(
+            "bad value '{shown}' for --leaf-diagonal: the instance's extent needs {depth} \
+             IQuad-tree levels at that leaf size, at most {} fit",
+            IQuadTree::MAX_DEPTH
+        )
+        .into());
+    }
+    Ok(())
 }
 
 fn snapshot_load<W: Write>(parsed: &Parsed, out: &mut W) -> CmdResult {
@@ -852,6 +878,105 @@ mod tests {
             !std::path::Path::new(&out_file).exists(),
             "nothing is written"
         );
+    }
+
+    /// Writes `new-york --scale 0.05` as JSON to `name` with the first
+    /// user's first `x` replaced by the literal `x`.
+    fn dataset_with_first_x(name: &str, x: &str) -> String {
+        let d = mc2ls::prelude::presets::new_york_scaled(0.05).generate();
+        let mut buf = Vec::new();
+        mc2ls::data::serialize::save_json(&d, &mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        let at = json.find("\"x\":").unwrap() + 4;
+        let end = at + json[at..].find(',').unwrap();
+        let path = tmp(name);
+        std::fs::write(&path, format!("{}{x}{}", &json[..at], &json[end..])).unwrap();
+        path
+    }
+
+    /// Runs `command`, which must fail with a typed error (exit 1, no
+    /// panic) and solve nothing; returns its output.
+    fn typed_failure(command: &str) -> String {
+        let (code, out) = call(command);
+        assert_eq!(code, 1, "{command}: {out}");
+        assert!(out.starts_with("error: "), "{command}: {out}");
+        assert!(!out.contains("selected:"), "{command}: {out}");
+        out
+    }
+
+    #[test]
+    fn a_non_finite_dataset_coordinate_is_a_format_error() {
+        // `1e999` overflows to infinity when parsed.
+        let data = dataset_with_first_x("inf-coordinate.json", "1e999");
+        let out_file = tmp("inf-coordinate.mc2s");
+        let sites = tmp("inf-coordinate-sites.json");
+        let _ = std::fs::remove_file(&out_file);
+        let _ = std::fs::remove_file(&sites);
+        let instance = format!("--data {data} --candidates 10 --facilities 10 -k 3");
+        for command in [
+            format!("solve {instance}"),
+            format!("snapshot save {instance} --out {out_file}"),
+            format!("candgen --data {data} --window 2.0 -m 5 --out {sites}"),
+        ] {
+            let out = typed_failure(&command);
+            assert!(
+                out.contains("a user position is not finite"),
+                "{command}: {out}"
+            );
+        }
+        assert!(!std::path::Path::new(&out_file).exists());
+        assert!(!std::path::Path::new(&sites).exists());
+    }
+
+    #[test]
+    fn a_non_finite_candidate_site_is_a_bad_value() {
+        let sites = tmp("inf-site.json");
+        let (code, out) = call(&format!(
+            "candgen --preset new-york --scale 0.05 --window 2.0 -m 12 --out {sites}"
+        ));
+        assert_eq!(code, 0, "{out}");
+        let text = std::fs::read_to_string(&sites).unwrap();
+        let at = text.find("\"x\": ").unwrap() + 5;
+        let end = at + text[at..].find(',').unwrap();
+        std::fs::write(&sites, format!("{}1e999{}", &text[..at], &text[end..])).unwrap();
+        let out = typed_failure(&format!(
+            "solve --preset new-york --scale 0.05 --facilities 10 -k 3 --candidates-file {sites}"
+        ));
+        assert!(
+            out.contains("centre is not finite' for --candidates-file"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn a_dataset_too_wide_for_the_tree_names_the_leaf_diagonal_in_force() {
+        // Finite, but 1e300 km wide: 2 km leaves need ~1000 tree levels.
+        let data = dataset_with_first_x("wide.json", "1e300");
+        let instance = format!("--data {data} --candidates 10 --facilities 10 -k 3");
+        for command in [
+            format!("solve {instance}"),
+            format!("solve {instance} --method iqt-c"),
+            format!("analyze {instance}"),
+            format!("snapshot save {instance} --out {}", tmp("wide.mc2s")),
+            format!("serve --live {instance} --addr 127.0.0.1:0"),
+        ] {
+            let out = typed_failure(&command);
+            assert!(
+                out.contains("bad value '2' for --leaf-diagonal"),
+                "{command}: {out}"
+            );
+            assert!(out.contains("IQuad-tree levels"), "{command}: {out}");
+        }
+        // A larger leaf the flag sets is quoted as typed.
+        let out = typed_failure(&format!(
+            "snapshot save {instance} --leaf-diagonal 4 --out {}",
+            tmp("wide.mc2s")
+        ));
+        assert!(out.contains("bad value '4' for --leaf-diagonal"), "{out}");
+        // Adapted k-CIFP builds no IQuad-tree and still solves.
+        let (code, out) = call(&format!("solve {instance} --method kcifp"));
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("selected:"), "{out}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mc2ls_influence::CompetitionModel;
 
 /// Practical safety cap: enumeration beyond this many candidates would not
 /// terminate in reasonable time.
-pub const MAX_EXACT_CANDIDATES: usize = 30;
+const MAX_EXACT_CANDIDATES: usize = 30;
 
 /// `cinf(set)` under an arbitrary competition model: per-weight-class
 /// counts over the covered-user union, materialised through the shared
@@ -91,7 +91,7 @@ fn positive_parts_model<M: CompetitionModel>(
 ///
 /// # Panics
 /// Panics when `k` exceeds the candidate count or the candidate count
-/// exceeds [`MAX_EXACT_CANDIDATES`].
+/// exceeds `MAX_EXACT_CANDIDATES` (30).
 pub fn solve_exact_model<M: CompetitionModel>(
     sets: &InfluenceSets,
     k: usize,
@@ -172,7 +172,8 @@ pub fn solve_exact_model<M: CompetitionModel>(
 ///
 /// # Panics
 /// Panics when `k` exceeds the candidate count or the candidate count
-/// exceeds [`MAX_EXACT_CANDIDATES`].
+/// exceeds `MAX_EXACT_CANDIDATES` (30).
+// lint:allow(unread-pub): the optimum that model_routing.rs and approximation_quality.rs hold the greedy selectors to
 pub fn solve_exact(sets: &InfluenceSets, k: usize) -> Solution {
     let n = sets.n_candidates();
     assert!(k <= n, "k = {k} exceeds the number of candidates ({n})");

@@ -22,16 +22,9 @@ use mc2ls_index::{setops, IQuadTree, RTree};
 use mc2ls_influence::ProbabilityFunction;
 use std::time::Instant;
 
-/// Computes influence relationships with the IQuad-tree pruning pipeline.
-pub fn influence_sets<PF: ProbabilityFunction>(
-    problem: &Problem<PF>,
-    config: &IqtConfig,
-) -> (InfluenceSets, PruneStats, PhaseTimes) {
-    influence_sets_parallel(problem, config, 1)
-}
-
-/// [`influence_sets`] across `threads` workers. Every phase chunks its item
-/// space contiguously (see [`crate::parallel`]): traversals per abstract
+/// Computes influence relationships with the IQuad-tree pruning pipeline
+/// across `threads` workers. Every phase chunks its item space
+/// contiguously (see [`crate::parallel`]): traversals per abstract
 /// facility, NIB/IA R-tree queries per user, and exact verification per
 /// abstract facility. Chunk results are stitched in chunk order and partial
 /// statistics are summed, so the returned `InfluenceSets` **and**
@@ -351,7 +344,7 @@ mod tests {
 
     fn assert_equivalent_sets(a: &InfluenceSets, b: &InfluenceSets, label: &str) {
         assert_eq!(a.csr(), b.csr(), "{label}: omega_c diverged");
-        for list in a.iter_omegas() {
+        for list in (0..a.n_candidates()).map(|c| a.omega(c)) {
             for &o in list {
                 assert_eq!(
                     a.f_count[o as usize], b.f_count[o as usize],
@@ -372,7 +365,7 @@ mod tests {
                     IqtConfig::iqt(2.0),
                     IqtConfig::iqt_pino(2.0),
                 ] {
-                    let (got, stats, _) = influence_sets(&p, &config);
+                    let (got, stats, _) = influence_sets_parallel(&p, &config, 1);
                     assert_equivalent_sets(&base, &got, &format!("seed={seed} tau={tau}"));
                     assert_eq!(
                         stats.is_decided
@@ -397,7 +390,7 @@ mod tests {
             IqtConfig::iqt(2.0),
             IqtConfig::iqt_pino(2.0),
         ] {
-            let (sets, stats, _) = influence_sets(&p, &config);
+            let (sets, stats, _) = influence_sets_parallel(&p, &config, 1);
             for threads in [2usize, 4, 7] {
                 let (par_sets, par_stats, _) = influence_sets_parallel(&p, &config, threads);
                 assert_eq!(sets, par_sets, "threads={threads}");
@@ -420,9 +413,9 @@ mod tests {
         // influence, f_count must match baseline exactly.
         let p = random_problem(3, 60, 15, 10, 0.5);
         let (base, _, _) = baseline::influence_sets(&p, 1);
-        let (got, _, _) = influence_sets(&p, &IqtConfig::iqt_c(2.0));
+        let (got, _, _) = influence_sets_parallel(&p, &IqtConfig::iqt_c(2.0), 1);
         let mut relevant = vec![false; p.n_users()];
-        for list in base.iter_omegas() {
+        for list in (0..base.n_candidates()).map(|c| base.omega(c)) {
             for &o in list {
                 relevant[o as usize] = true;
             }
@@ -437,8 +430,8 @@ mod tests {
     #[test]
     fn leaf_diagonal_does_not_change_results() {
         let p = random_problem(11, 40, 8, 8, 0.6);
-        let (a, _, _) = influence_sets(&p, &IqtConfig::iqt(1.0));
-        let (b, _, _) = influence_sets(&p, &IqtConfig::iqt(2.5));
+        let (a, _, _) = influence_sets_parallel(&p, &IqtConfig::iqt(1.0), 1);
+        let (b, _, _) = influence_sets_parallel(&p, &IqtConfig::iqt(2.5), 1);
         assert_eq!(a, b);
     }
 
@@ -446,7 +439,7 @@ mod tests {
     fn pruning_reduces_verification_versus_baseline() {
         let p = random_problem(5, 120, 20, 20, 0.6);
         let (_, base_stats, _) = baseline::influence_sets(&p, 1);
-        let (_, iqt_stats, _) = influence_sets(&p, &IqtConfig::iqt(2.0));
+        let (_, iqt_stats, _) = influence_sets_parallel(&p, &IqtConfig::iqt(2.0), 1);
         assert!(iqt_stats.verified < base_stats.verified);
         assert!(iqt_stats.prob_evals <= base_stats.prob_evals);
     }

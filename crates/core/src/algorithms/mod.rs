@@ -1,7 +1,6 @@
 //! The MC²LS solution algorithms and the common driver.
 
 pub mod baseline;
-pub mod budgeted;
 pub mod exact;
 pub mod iqt;
 pub mod kcifp;
@@ -112,7 +111,7 @@ pub enum Selector {
 /// scanning selector risks, i.e. when the sets are sparse relative to the
 /// budget; otherwise CELF's pruning on the forward CSR wins. Non-`Auto`
 /// selectors resolve to themselves.
-pub fn resolve_selector(selector: Selector, sets: &InfluenceSets, k: usize) -> Selector {
+pub(crate) fn resolve_selector(selector: Selector, sets: &InfluenceSets, k: usize) -> Selector {
     resolve(selector, sets.total_influences(), sets.n_candidates(), k)
 }
 
@@ -154,7 +153,7 @@ pub fn run_selector(
 /// routed to the exact branch-and-bound oracle
 /// ([`exact::solve_exact_model`]) regardless of `selector`, because
 /// greedy's marginal-gain argument certifies nothing there. The exact
-/// route is capped at [`exact::MAX_EXACT_CANDIDATES`] candidates. Only
+/// route is capped at `exact::MAX_EXACT_CANDIDATES` candidates. Only
 /// the decremental selector gets the inverted CSR built.
 fn select_sets<M: CompetitionModel + Sync>(
     selector: Selector,

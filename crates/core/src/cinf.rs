@@ -2,13 +2,6 @@
 
 use crate::InfluenceSets;
 
-/// The competitive weight a candidate captures from one user under the
-/// evenly-split model (Equation 1): `cinf(c, o) = 1/(|F_o| + 1)`.
-#[inline]
-pub fn competitive_weight(f_count: u32) -> f64 {
-    1.0 / (f_count as f64 + 1.0)
-}
-
 /// `cinf(G)` of a candidate id set against precomputed influence sets
 /// (Definition 6). Duplicated candidates are tolerated (set semantics).
 pub fn cinf_of_set(sets: &InfluenceSets, g: &[u32]) -> f64 {
@@ -19,14 +12,6 @@ pub fn cinf_of_set(sets: &InfluenceSets, g: &[u32]) -> f64 {
 mod tests {
     use super::*;
     use crate::InfluenceSets;
-
-    #[test]
-    fn weight_decreases_with_competition() {
-        assert_eq!(competitive_weight(0), 1.0);
-        assert_eq!(competitive_weight(1), 0.5);
-        assert_eq!(competitive_weight(3), 0.25);
-        assert!(competitive_weight(100) < competitive_weight(99));
-    }
 
     #[test]
     fn duplicate_candidates_do_not_double_count() {

@@ -118,20 +118,9 @@ impl InfluenceSets {
         &self.user_ids[self.offsets[c] as usize..self.offsets[c + 1] as usize]
     }
 
-    /// Per-candidate lists in candidate order.
-    pub fn iter_omegas(&self) -> impl Iterator<Item = &[u32]> {
-        (0..self.n_candidates()).map(|c| self.omega(c))
-    }
-
     /// The raw CSR arrays `(offsets, user_ids)`.
     pub fn csr(&self) -> (&[u32], &[u32]) {
         (&self.offsets, &self.user_ids)
-    }
-
-    /// The per-candidate lists as owned nested vectors (the pre-CSR
-    /// representation; for callers that slice or reshuffle candidates).
-    pub fn to_nested(&self) -> Vec<Vec<u32>> {
-        self.iter_omegas().map(<[u32]>::to_vec).collect()
     }
 
     /// Total number of (candidate, user) influence entries, `Σ_c |Ω_c|` —
@@ -353,7 +342,8 @@ mod tests {
     fn nested_round_trip_is_lossless() {
         let nested = vec![vec![0, 1], vec![], vec![2], vec![0, 1, 2, 3]];
         let s = InfluenceSets::new(nested.clone(), vec![0; 4]);
-        assert_eq!(s.to_nested(), nested);
+        let lists: Vec<Vec<u32>> = (0..s.n_candidates()).map(|c| s.omega(c).to_vec()).collect();
+        assert_eq!(lists, nested);
         let (offsets, user_ids) = s.csr();
         let rebuilt =
             InfluenceSets::from_csr(offsets.to_vec(), user_ids.to_vec(), s.f_count.clone());
@@ -367,7 +357,6 @@ mod tests {
         assert!(s.omega(0).is_empty());
         assert!(s.omega(1).is_empty());
         assert_eq!(s.omega(2), [1]);
-        assert_eq!(s.iter_omegas().count(), 3);
     }
 
     #[test]

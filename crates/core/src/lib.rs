@@ -43,7 +43,7 @@ pub mod update;
 mod verify;
 
 pub use bitset::{Bitset, IterOnes};
-pub use cinf::{cinf_of_set, competitive_weight};
+pub use cinf::cinf_of_set;
 pub use greedy::{
     class_counts, select, ClassCounts, GatherScratch, GatherStats, Rows, SelectOpts, SetRows,
 };

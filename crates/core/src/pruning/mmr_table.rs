@@ -24,16 +24,6 @@ impl MmrTable {
     pub fn get(&self, r: usize) -> Option<f64> {
         self.by_r[r]
     }
-
-    /// The largest defined radius (equals `NIR` when any entry is defined).
-    pub fn max_radius(&self) -> Option<f64> {
-        self.by_r.iter().flatten().copied().fold(None, |acc, x| {
-            Some(match acc {
-                Some(a) if a >= x => a,
-                _ => x,
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -54,8 +44,9 @@ mod tests {
     fn max_radius_equals_nir() {
         let pf = Sigmoid::paper_default();
         let t = MmrTable::build(&pf, 0.5, 30);
+        // mMR grows with r, so the largest entry is r_max's: NIR.
         let nir = non_influence_radius(&pf, 0.5, 30);
-        assert_eq!(t.max_radius(), nir);
+        assert_eq!(t.get(30), nir);
     }
 
     #[test]
@@ -73,6 +64,6 @@ mod tests {
         // τ=0.9 unreachable even with r=2 positions at distance 0:
         // 1-(1-0.1)^2 = 0.19 < 0.9.
         let t = MmrTable::build(&pf, 0.9, 2);
-        assert!(t.max_radius().is_none());
+        assert!((0..=2).all(|r| t.get(r).is_none()));
     }
 }

@@ -135,19 +135,19 @@ impl<'a> CsrView<'a> {
     /// same bytes already validated (e.g. re-deriving views from a loaded
     /// snapshot each query): handing unvalidated bytes here trades the
     /// typed errors for row accessors that may panic or misread.
-    pub fn trusted(offsets: U32View<'a>, ids: U32View<'a>) -> CsrView<'a> {
+    fn trusted(offsets: U32View<'a>, ids: U32View<'a>) -> CsrView<'a> {
         CsrView { offsets, ids }
     }
 
     /// Number of rows.
     #[inline]
-    pub fn n_rows(&self) -> usize {
+    fn n_rows(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Total ids across all rows.
     #[inline]
-    pub fn total_ids(&self) -> usize {
+    fn total_ids(&self) -> usize {
         self.ids.len()
     }
 

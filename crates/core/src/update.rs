@@ -559,11 +559,6 @@ impl<PF: ProbabilityFunction + Clone> UpdateEngine<PF> {
         self.users.len()
     }
 
-    /// Whether events are pending since the last compaction.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// Lifetime work counters.
     pub fn stats(&self) -> &UpdateStats {
         &self.stats
@@ -668,7 +663,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(o, 4);
-        assert!(engine.is_dirty());
         let remap = engine.compact().unwrap();
         assert_eq!(remap, vec![0, 1, 2, 3, 4]);
         assert_eq!(engine.sets(), &rebuilt_sets(&engine, &problem));
@@ -797,7 +791,6 @@ mod tests {
             Err(UpdateError::NonFinitePosition)
         );
         assert_eq!(engine.stats().events, 1);
-        assert!(!engine.is_dirty() || engine.stats().events == 1);
     }
 
     #[test]

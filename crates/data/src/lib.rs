@@ -17,8 +17,7 @@
 //! * [`sampler`] — the subsampling utilities behind the paper's Fig. 10
 //!   (user scaling) and Fig. 15/16 (position-count scaling) experiments;
 //! * [`serialize`] — JSON persistence and SNAP-format export, so synthetic
-//!   datasets interoperate with tools expecting the real dumps;
-//! * [`trajectory`] — time-ordered commuter traces with slot tags.
+//!   datasets interoperate with tools expecting the real dumps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@ pub mod loader;
 pub mod presets;
 pub mod sampler;
 pub mod serialize;
-pub mod trajectory;
 
 pub use dataset::{Dataset, DatasetStats};
 pub use generator::DatasetConfig;

@@ -89,6 +89,7 @@ impl From<std::io::Error> for LoadError {
 ///
 /// Malformed lines are skipped (real SNAP dumps contain a few); users with
 /// fewer than `min_positions` surviving records are trimmed.
+// lint:allow(unread-pub): the in-memory entry that loader_fuzz.rs feeds arbitrary bytes; the CLI reaches it through `load_checkin_file`
 pub fn load_checkins<R: Read>(
     reader: R,
     name: &str,

@@ -14,7 +14,6 @@
 //! quick experiments run in seconds.
 
 use crate::generator::DatasetConfig;
-use crate::Dataset;
 
 /// Full-scale California-like preset (near-uniform, wide-roaming users).
 pub fn california() -> DatasetConfig {
@@ -70,19 +69,10 @@ fn scale(mut cfg: DatasetConfig, f: f64) -> DatasetConfig {
     cfg
 }
 
-/// Generates the full-scale California-like dataset.
-pub fn california_dataset() -> Dataset {
-    california().generate()
-}
-
-/// Generates the full-scale New York-like dataset.
-pub fn new_york_dataset() -> Dataset {
-    new_york().generate()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
 
     #[test]
     fn scaled_california_matches_paper_statistics() {

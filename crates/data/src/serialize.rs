@@ -76,6 +76,20 @@ pub fn load_json<R: Read>(mut reader: R) -> Result<Dataset, SerializeError> {
     if file.users.iter().any(Vec::is_empty) {
         return Err(SerializeError::Format("a user has no positions".into()));
     }
+    // A coordinate that overflowed to infinity in the text (`1e999`) parses
+    // fine; every index and kernel downstream needs finite ones.
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    if !file.users.iter().flatten().all(finite) {
+        return Err(SerializeError::Format(
+            "a user position is not finite".into(),
+        ));
+    }
+    if !file.pois.iter().all(finite) {
+        return Err(SerializeError::Format("a POI is not finite".into()));
+    }
+    if !file.region_km.is_finite() {
+        return Err(SerializeError::Format("region_km is not finite".into()));
+    }
     Ok(Dataset::new(
         file.name,
         file.users.into_iter().map(MovingUser::new).collect(),
@@ -88,6 +102,7 @@ pub fn load_json<R: Read>(mut reader: R) -> Result<Dataset, SerializeError> {
 /// (`user ⟨tab⟩ time ⟨tab⟩ lat ⟨tab⟩ lon ⟨tab⟩ location_id`), unprojecting
 /// planar km back to latitude/longitude around `anchor` (degrees). POIs
 /// are emitted as the location ids of the nearest check-ins.
+// lint:allow(unread-pub): the CLI's `update`/`convert` tests write their SNAP check-in input with it
 pub fn export_checkins<W: Write>(
     dataset: &Dataset,
     anchor: (f64, f64),
@@ -148,6 +163,30 @@ mod tests {
             load_json(r#"{"name":"x","region_km":1.0,"users":[],"pois":[]}"#.as_bytes()),
             Err(SerializeError::Format(_))
         ));
+    }
+
+    #[test]
+    fn load_rejects_non_finite_coordinates() {
+        // `1e999` overflows to infinity when parsed.
+        for (bad, what) in [
+            (
+                r#"{"name":"x","region_km":1.0,"users":[[{"x":1e999,"y":0.0}]],"pois":[]}"#,
+                "user",
+            ),
+            (
+                r#"{"name":"x","region_km":1.0,"users":[[{"x":0.0,"y":0.0}]],"pois":[{"x":0.0,"y":-1e999}]}"#,
+                "POI",
+            ),
+            (
+                r#"{"name":"x","region_km":1e999,"users":[[{"x":0.0,"y":0.0}]],"pois":[]}"#,
+                "region_km",
+            ),
+        ] {
+            match load_json(bad.as_bytes()) {
+                Err(SerializeError::Format(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("{what}: expected a format error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

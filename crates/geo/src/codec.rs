@@ -287,17 +287,6 @@ pub struct U32View<'a> {
 }
 
 impl<'a> U32View<'a> {
-    /// A view over `bytes`, which must hold a whole number of `u32`s.
-    pub fn over(bytes: &'a [u8]) -> Result<U32View<'a>, CodecError> {
-        if !bytes.len().is_multiple_of(4) {
-            return Err(CodecError::Invalid("u32 view over a non-multiple-of-4"));
-        }
-        Ok(U32View {
-            bytes,
-            len: bytes.len() / 4,
-        })
-    }
-
     /// Number of `u32` elements.
     #[inline]
     pub fn len(&self) -> usize {
@@ -381,7 +370,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
 /// then XOR the result with `0xFFFF_FFFF` (what [`crc32`] does in one go).
 /// Eight bytes per step (slicing-by-8), then a bytewise tail; any split of
 /// the input into chunks gives the same result.
-pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
@@ -582,8 +571,6 @@ mod tests {
             r.get_u32_view("vs"),
             Err(CodecError::BadLength { what: "vs", .. })
         ));
-        assert!(U32View::over(&[1, 2, 3]).is_err());
-        assert_eq!(U32View::over(&[1, 0, 0, 0]).unwrap().get(0), 1);
     }
 
     #[test]

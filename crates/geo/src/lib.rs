@@ -9,7 +9,6 @@
 //!   with [`project::Equirectangular`].
 //! * [`Rect`] — an axis-aligned rectangle (the paper's MBRs), with exact
 //!   point–rectangle minimum/maximum distances, inflation, and containment.
-//! * [`Circle`] — influence circles `φ(v, d)` from the paper.
 //! * [`Square`] — axis-aligned squares addressed by their *diagonal* length,
 //!   matching how the paper parameterises IQuad-tree nodes (`d̂` is always a
 //!   diagonal).
@@ -29,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod circle;
 pub mod codec;
 mod extent;
 mod morton;
@@ -38,14 +36,9 @@ pub mod project;
 mod rect;
 mod square;
 
-pub use circle::Circle;
 pub use codec::{ByteReader, ByteWriter, CodecError, U32View};
 pub use extent::Extent;
 pub use morton::{grid_cells, grid_coords, morton_code, morton_codes, LANE};
 pub use point::Point;
 pub use rect::Rect;
 pub use square::Square;
-
-/// Relative tolerance used by approximate float comparisons in tests and by
-/// degenerate-geometry guards (e.g. zero-area MBRs).
-pub const EPSILON: f64 = 1e-9;

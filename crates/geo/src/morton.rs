@@ -81,6 +81,7 @@ pub fn morton_code(root: &Square, depth: usize, p: &Point) -> u64 {
 /// expressions, interleaving the returned coordinate bits reproduces
 /// `morton_code` exactly, so the sweep's grid cells and the codes that key
 /// the tree and the blocks always agree on which cell a point occupies.
+// lint:allow(unread-pub): the scalar oracle that morton_batch.rs and sweep_edges.rs check the batch `grid_cells` against
 pub fn grid_coords(root: &Square, depth: usize, p: &Point) -> (u64, u64) {
     let (mut ox, mut oy, mut side) = (root.origin.x, root.origin.y, root.side);
     let (mut cx, mut cy) = (0u64, 0u64);

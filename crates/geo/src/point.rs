@@ -31,11 +31,8 @@ impl Point {
     }
 
     /// Squared Euclidean distance to `other`.
-    ///
-    /// Preferred in hot paths (range filtering, nearest scans) because it
-    /// avoids the `sqrt`; compare against squared radii.
     #[inline]
-    pub fn distance_sq(&self, other: &Point) -> f64 {
+    fn distance_sq(&self, other: &Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         dx * dx + dy * dy

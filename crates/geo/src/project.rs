@@ -9,11 +9,12 @@
 use crate::Point;
 
 /// Mean Earth radius in kilometres (IUGG).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
+const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// Great-circle (haversine) distance between two `(lat, lon)` pairs in
-/// degrees, returned in km. Used to validate the planar projection and by
-/// the dataset loaders' sanity checks.
+/// degrees, returned in km: the oracle that the planar projection is
+/// validated against.
+// lint:allow(unread-pub): the spherical oracle this file's projection tests measure `Equirectangular` against
 pub fn haversine_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let (phi1, phi2) = (lat1.to_radians(), lat2.to_radians());
     let dphi = (lat2 - lat1).to_radians();

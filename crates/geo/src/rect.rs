@@ -73,12 +73,6 @@ impl Rect {
         self.width() * self.height()
     }
 
-    /// Half the perimeter (`width + height`); the classic R-tree "margin".
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
-    }
-
     /// Length of the diagonal, in km.
     #[inline]
     pub fn diagonal(&self) -> f64 {
@@ -89,16 +83,6 @@ impl Rect {
     #[inline]
     pub fn center(&self) -> Point {
         self.min.midpoint(&self.max)
-    }
-
-    /// The four corner points in counter-clockwise order from `min`.
-    pub fn corners(&self) -> [Point; 4] {
-        [
-            self.min,
-            Point::new(self.max.x, self.min.y),
-            self.max,
-            Point::new(self.min.x, self.max.y),
-        ]
     }
 
     /// True when `p` lies inside or on the boundary.
@@ -171,11 +155,6 @@ impl Rect {
             max: Point::new(self.max.x + delta, self.max.y + delta),
         }
     }
-
-    /// Counts how many of `points` fall inside the rectangle.
-    pub fn count_contained(&self, points: &[Point]) -> usize {
-        points.iter().filter(|p| self.contains(p)).count()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +200,6 @@ mod tests {
         assert_eq!(a.width(), 3.0);
         assert_eq!(a.height(), 4.0);
         assert_eq!(a.area(), 12.0);
-        assert_eq!(a.margin(), 7.0);
         assert!((a.diagonal() - 5.0).abs() < 1e-12);
         assert_eq!(a.center(), Point::new(1.5, 2.0));
     }
@@ -272,27 +250,6 @@ mod tests {
     fn inflate_grows_every_side() {
         let a = r(0.0, 0.0, 1.0, 1.0).inflate(0.5);
         assert_eq!(a, r(-0.5, -0.5, 1.5, 1.5));
-    }
-
-    #[test]
-    fn corners_in_ccw_order() {
-        let a = r(0.0, 0.0, 1.0, 2.0);
-        let c = a.corners();
-        assert_eq!(c[0], Point::new(0.0, 0.0));
-        assert_eq!(c[1], Point::new(1.0, 0.0));
-        assert_eq!(c[2], Point::new(1.0, 2.0));
-        assert_eq!(c[3], Point::new(0.0, 2.0));
-    }
-
-    #[test]
-    fn count_contained_counts_boundary() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(0.5, 0.5),
-            Point::new(2.0, 2.0),
-        ];
-        assert_eq!(a.count_contained(&pts), 2);
     }
 
     #[test]

@@ -23,12 +23,6 @@ impl Square {
         Square { origin, side }
     }
 
-    /// Creates a square from its lower-left corner and **diagonal** length
-    /// (the paper's `d̂`).
-    pub fn with_diagonal(origin: Point, diagonal: f64) -> Self {
-        Square::new(origin, diagonal / std::f64::consts::SQRT_2)
-    }
-
     /// Diagonal length `d̂ = side·√2`.
     #[inline]
     pub fn diagonal(&self) -> f64 {
@@ -59,22 +53,10 @@ impl Square {
         )
     }
 
-    /// Splits into the four child squares of a quad subdivision, ordered
-    /// `[SW, SE, NW, NE]`.
-    pub fn quadrants(&self) -> [Square; 4] {
-        let h = self.side * 0.5;
-        let Point { x, y } = self.origin;
-        [
-            Square::new(Point::new(x, y), h),
-            Square::new(Point::new(x + h, y), h),
-            Square::new(Point::new(x, y + h), h),
-            Square::new(Point::new(x + h, y + h), h),
-        ]
-    }
-
-    /// Index (0–3, same order as [`Square::quadrants`]) of the child square
+    /// Index (0–3, same order as [`Square::child`]) of the child square
     /// containing `p`. Points on a split line go to the higher-indexed child
     /// so that every point of the square maps to exactly one child.
+    // lint:allow(unread-pub): the scalar oracle that morton.rs's and iquadtree's tests re-descend `morton_code` against
     pub fn quadrant_of(&self, p: &Point) -> usize {
         let c = self.center();
         let east = p.x >= c.x;
@@ -82,8 +64,8 @@ impl Square {
         (north as usize) * 2 + east as usize
     }
 
-    /// The `q`-th child square (same indexing as [`Square::quadrants`]),
-    /// without materialising all four.
+    /// The `q`-th child square of a quad subdivision, ordered
+    /// `[SW, SE, NW, NE]`.
     pub fn child(&self, q: usize) -> Square {
         debug_assert!(q < 4);
         let h = self.side * 0.5;
@@ -103,7 +85,7 @@ mod tests {
 
     #[test]
     fn diagonal_roundtrip() {
-        let s = Square::with_diagonal(Point::ORIGIN, 2.0);
+        let s = Square::new(Point::ORIGIN, 2.0 / std::f64::consts::SQRT_2);
         assert!((s.diagonal() - 2.0).abs() < 1e-12);
         assert!((s.side - 2.0 / 2f64.sqrt()).abs() < 1e-12);
     }
@@ -121,7 +103,7 @@ mod tests {
     #[test]
     fn quadrants_partition_square() {
         let s = Square::new(Point::ORIGIN, 2.0);
-        let q = s.quadrants();
+        let q: Vec<Square> = (0..4).map(|i| s.child(i)).collect();
         assert_eq!(q[0].origin, Point::new(0.0, 0.0));
         assert_eq!(q[1].origin, Point::new(1.0, 0.0));
         assert_eq!(q[2].origin, Point::new(0.0, 1.0));
@@ -147,16 +129,16 @@ mod tests {
 
     #[test]
     fn child_matches_quadrants() {
+        // Each child's centre is assigned back to that child's index.
         let s = Square::new(Point::new(-3.0, 2.0), 8.0);
-        for (q, expected) in s.quadrants().into_iter().enumerate() {
-            assert_eq!(s.child(q), expected);
+        for q in 0..4 {
+            assert_eq!(s.quadrant_of(&s.child(q).center()), q);
         }
     }
 
     #[test]
     fn quadrant_of_matches_quadrants() {
         let s = Square::new(Point::new(-1.0, -1.0), 4.0);
-        let qs = s.quadrants();
         for p in [
             Point::new(-0.5, -0.5),
             Point::new(2.9, -0.9),
@@ -164,7 +146,10 @@ mod tests {
             Point::new(2.0, 2.0),
         ] {
             let idx = s.quadrant_of(&p);
-            assert!(qs[idx].contains(&p), "point {p:?} not in quadrant {idx}");
+            assert!(
+                s.child(idx).contains(&p),
+                "point {p:?} not in quadrant {idx}"
+            );
         }
     }
 }

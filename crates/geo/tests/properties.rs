@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use mc2ls_geo::{Circle, Point, Rect, Square};
+use mc2ls_geo::{Point, Rect, Square};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -66,13 +66,13 @@ proptest! {
 
     #[test]
     fn circle_rect_intersection_agrees_with_sampling(c in pt(), radius in 0.1f64..50.0, r in rect()) {
-        let circle = Circle::new(c, radius);
-        // The nearest rectangle point to the centre decides intersection.
+        // The nearest rectangle point to the centre decides whether a disk
+        // meets the rectangle, which is what its minimum distance measures.
         let nearest = Point::new(
             c.x.clamp(r.min.x, r.max.x),
             c.y.clamp(r.min.y, r.max.y),
         );
-        prop_assert_eq!(circle.intersects_rect(&r), circle.contains(&nearest));
+        prop_assert_eq!(r.min_distance(&c) <= radius, c.distance(&nearest) <= radius);
     }
 
     /// Lemma 2's geometric core: a circle with radius = diagonal centred
@@ -81,8 +81,11 @@ proptest! {
     fn diagonal_circle_covers_square(origin in pt(), side in 0.1f64..50.0, fx in 0.0f64..1.0, fy in 0.0f64..1.0) {
         let sq = Square::new(origin, side);
         let inside = Point::new(origin.x + fx * side, origin.y + fy * side);
-        let circle = Circle::new(inside, sq.diagonal() + 1e-9);
-        prop_assert!(circle.covers_rect(&sq.rect()));
+        // The disk is convex: holding the four corners is holding the square.
+        let r = sq.rect();
+        for corner in [r.min, Point::new(r.max.x, r.min.y), r.max, Point::new(r.min.x, r.max.y)] {
+            prop_assert!(inside.distance(&corner) <= sq.diagonal() + 1e-9);
+        }
     }
 
     #[test]
@@ -91,7 +94,7 @@ proptest! {
         let p = Point::new(origin.x + fx * side, origin.y + fy * side);
         let idx = sq.quadrant_of(&p);
         // Assigned quadrant contains the point (up to boundary fuzz)...
-        prop_assert!(sq.quadrants()[idx].rect().inflate(1e-9).contains(&p));
+        prop_assert!(sq.child(idx).rect().inflate(1e-9).contains(&p));
         // ...and the index is unique by construction (no other check needed:
         // quadrant_of is a pure function of the comparison against centre).
     }
@@ -99,7 +102,7 @@ proptest! {
     #[test]
     fn square_diagonal_halves_in_children(origin in pt(), side in 0.1f64..50.0) {
         let sq = Square::new(origin, side);
-        for child in sq.quadrants() {
+        for child in (0..4).map(|q| sq.child(q)) {
             prop_assert!((child.diagonal() * 2.0 - sq.diagonal()).abs() < 1e-9);
         }
     }

@@ -280,6 +280,7 @@ impl IQuadTree {
     }
 
     /// The indexed root region; a facility outside it gets no IS pruning.
+    // lint:allow(unread-pub): iqt_pinned.rs lays its pinned traversal probes over it
     pub fn root_region(&self) -> Rect {
         self.root_square.rect()
     }
@@ -291,6 +292,7 @@ impl IQuadTree {
 
     /// The `⌈η⌉` table per level (index 0 = root). `None` entries mean the
     /// IS rule cannot fire at that scale.
+    // lint:allow(unread-pub): iqt_pinned.rs's reference traversal applies the IS rule level by level from it
     pub fn eta_table(&self) -> &[Option<usize>] {
         &self.eta_by_level
     }
@@ -446,7 +448,7 @@ impl IQuadTree {
     /// Descends the node ranges: a fully covered square contributes the
     /// owners of its whole range; only partially covered leaves test
     /// positions. `scratch` only dedups; the output does not depend on it.
-    pub fn users_with_position_in(&self, rect: &Rect, scratch: &mut TraverseScratch) -> Vec<u32> {
+    fn users_with_position_in(&self, rect: &Rect, scratch: &mut TraverseScratch) -> Vec<u32> {
         scratch.epoch = scratch.epoch.wrapping_add(1);
         if scratch.epoch == 0 {
             // Epoch wrapped: clear stale marks once every 2^32 queries.
@@ -681,16 +683,32 @@ mod tests {
         let users = users_grid();
         let pf = Sigmoid::paper_default();
         let t = IQuadTree::build(&users, &pf, 0.5, 2.0);
-        let rect = Rect::new(Point::new(2.0, 2.0), Point::new(9.0, 9.0));
-        let got = t.users_with_position_in(&rect, &mut t.scratch());
-        let mut want: Vec<u32> = users
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| u.positions().iter().any(|p| rect.contains(p)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        let mut scratch = t.scratch();
+        // One fixed window, then windows from a small LCG over the grid and
+        // beyond it (empty, partial and covering ones).
+        let mut windows = vec![Rect::new(Point::new(2.0, 2.0), Point::new(9.0, 9.0))];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut coord = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 24.0 - 4.0
+        };
+        for _ in 0..64 {
+            let (a, b) = (Point::new(coord(), coord()), Point::new(coord(), coord()));
+            windows.push(Rect::new(a, b));
+        }
+        for rect in windows {
+            let got = t.users_with_position_in(&rect, &mut scratch);
+            let mut want: Vec<u32> = users
+                .iter()
+                .enumerate()
+                .filter(|(_, u)| u.positions().iter().any(|p| rect.contains(p)))
+                .map(|(i, _)| i as u32)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "window {rect:?}");
+        }
     }
 
     /// The children of every non-empty node split its range into four

@@ -9,11 +9,11 @@
 mod node;
 mod split;
 
-use mc2ls_geo::{Circle, Point, Rect};
+use mc2ls_geo::{Point, Rect};
 use node::{Node, NodeKind};
 
 /// Maximum entries per node before a split.
-pub const MAX_ENTRIES: usize = 16;
+const MAX_ENTRIES: usize = 16;
 /// Minimum entries per node after a split (40% fill, Guttman's advice).
 pub const MIN_ENTRIES: usize = 6;
 
@@ -29,9 +29,12 @@ pub const MIN_ENTRIES: usize = 6;
 ///     (1, Point::new(5.0, 5.0)),
 ///     (2, Point::new(9.0, 1.0)),
 /// ]);
-/// let hits = tree.range_rect(&Rect::new(Point::new(0.0, 0.0), Point::new(6.0, 6.0)));
+/// let mut hits = Vec::new();
+/// tree.for_each_in_rect(&Rect::new(Point::new(0.0, 0.0), Point::new(6.0, 6.0)), |id, _| {
+///     hits.push(id)
+/// });
+/// hits.sort_unstable();
 /// assert_eq!(hits, vec![0, 1]);
-/// assert_eq!(tree.nearest(&Point::new(8.0, 0.0)).unwrap().0, 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RTree {
@@ -292,105 +295,6 @@ impl RTree {
             }
         }
     }
-
-    /// Ids of all entries inside `rect`, sorted.
-    pub fn range_rect(&self, rect: &Rect) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.for_each_in_rect(rect, |id, _| out.push(id));
-        out.sort_unstable();
-        out
-    }
-
-    /// Ids of all entries inside the circle, sorted (bounding-rect descent +
-    /// exact distance filter).
-    pub fn range_circle(&self, circle: &Circle) -> Vec<u32> {
-        let mut out = Vec::new();
-        let bound = circle.bounding_rect();
-        self.for_each_in_rect(&bound, |id, p| {
-            if circle.contains(&p) {
-                out.push(id);
-            }
-        });
-        out.sort_unstable();
-        out
-    }
-
-    /// The entry nearest to `q` (best-first branch-and-bound descent);
-    /// `None` on an empty tree. Distance ties break toward the smaller id.
-    pub fn nearest(&self, q: &Point) -> Option<(u32, Point)> {
-        if self.len == 0 {
-            return None;
-        }
-        use std::collections::BinaryHeap;
-
-        /// Heap item ordered as a min-heap on (distance², kind, id); node
-        /// items carry no point, entry items do.
-        struct Item {
-            dist_sq: f64,
-            kind: u8, // 0 = node (expanded before equal-distance entries), 1 = entry
-            id: u32,
-            point: Option<Point>,
-        }
-        impl PartialEq for Item {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Item {}
-        impl PartialOrd for Item {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Item {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reversed: BinaryHeap is a max-heap, we need the minimum.
-                other
-                    .dist_sq
-                    .total_cmp(&self.dist_sq)
-                    .then(other.kind.cmp(&self.kind))
-                    .then(other.id.cmp(&self.id))
-            }
-        }
-
-        let mut heap: BinaryHeap<Item> = BinaryHeap::new();
-        heap.push(Item {
-            dist_sq: self.nodes[self.root].mbr.min_distance_sq(q),
-            kind: 0,
-            id: self.root as u32,
-            point: None,
-        });
-        while let Some(item) = heap.pop() {
-            if item.kind == 1 {
-                // lint:allow(panic-path): kind == 1 items are constructed with Some(point) in the push below
-                return Some((item.id, item.point.expect("entries carry their point")));
-            }
-            match &self.nodes[item.id as usize].kind {
-                NodeKind::Leaf(entries) => {
-                    for &(eid, p) in entries {
-                        heap.push(Item {
-                            dist_sq: q.distance_sq(&p),
-                            kind: 1,
-                            id: eid,
-                            point: Some(p),
-                        });
-                    }
-                }
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        heap.push(Item {
-                            dist_sq: self.nodes[c].mbr.min_distance_sq(q),
-                            kind: 0,
-                            id: c as u32,
-                            point: None,
-                        });
-                    }
-                }
-            }
-        }
-        // lint:allow(panic-propagation): len > 0 was checked above, so the heap reaches an entry before it empties
-        unreachable!("non-empty tree must yield an entry")
-    }
 }
 
 impl Default for RTree {
@@ -413,6 +317,14 @@ mod tests {
             .collect()
     }
 
+    /// Ids of the entries `for_each_in_rect` reports inside `rect`, sorted.
+    fn window(t: &RTree, rect: &Rect) -> Vec<u32> {
+        let mut out = Vec::new();
+        t.for_each_in_rect(rect, |id, _| out.push(id));
+        out.sort_unstable();
+        out
+    }
+
     fn brute_rect(items: &[(u32, Point)], rect: &Rect) -> Vec<u32> {
         let mut v: Vec<u32> = items
             .iter()
@@ -428,7 +340,7 @@ mod tests {
         let t = RTree::new();
         assert!(t.is_empty());
         assert_eq!(
-            t.range_rect(&Rect::new(Point::ORIGIN, Point::new(1.0, 1.0))),
+            window(&t, &Rect::new(Point::ORIGIN, Point::new(1.0, 1.0))),
             Vec::<u32>::new()
         );
     }
@@ -439,7 +351,7 @@ mod tests {
         let t = RTree::bulk_load(items.clone());
         assert_eq!(t.len(), 500);
         let rect = Rect::new(Point::new(1.0, 2.0), Point::new(7.5, 20.0));
-        assert_eq!(t.range_rect(&rect), brute_rect(&items, &rect));
+        assert_eq!(window(&t, &rect), brute_rect(&items, &rect));
     }
 
     #[test]
@@ -455,7 +367,7 @@ mod tests {
             Rect::new(Point::new(5.0, 10.0), Point::new(12.0, 25.0)),
             Rect::new(Point::new(-5.0, -5.0), Point::new(-1.0, -1.0)),
         ] {
-            assert_eq!(t.range_rect(&rect), brute_rect(&items, &rect));
+            assert_eq!(window(&t, &rect), brute_rect(&items, &rect));
         }
     }
 
@@ -468,27 +380,7 @@ mod tests {
             inc.insert(*id, *p);
         }
         let rect = Rect::new(Point::new(2.0, 2.0), Point::new(9.0, 18.0));
-        assert_eq!(bulk.range_rect(&rect), inc.range_rect(&rect));
-    }
-
-    #[test]
-    fn circle_query_filters_exactly() {
-        let items = grid_points(400);
-        let t = RTree::bulk_load(items.clone());
-        let c = Circle::new(Point::new(5.0, 10.0), 4.0);
-        let got = t.range_circle(&c);
-        let mut want: Vec<u32> = items
-            .iter()
-            .filter(|(_, p)| c.contains(p))
-            .map(|(id, _)| *id)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-        // The circle result must be a subset of the bounding-rect result.
-        let rect_ids = t.range_rect(&c.bounding_rect());
-        for id in &got {
-            assert!(rect_ids.contains(id));
-        }
+        assert_eq!(window(&bulk, &rect), window(&inc, &rect));
     }
 
     #[test]
@@ -499,47 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn nearest_matches_brute_force() {
-        let items = grid_points(500);
-        let t = RTree::bulk_load(items.clone());
-        for q in [
-            Point::new(0.0, 0.0),
-            Point::new(5.3, 17.1),
-            Point::new(-4.0, 40.0),
-            Point::new(100.0, -100.0),
-        ] {
-            let (id, p) = t.nearest(&q).unwrap();
-            let best = items
-                .iter()
-                .map(|(i, pt)| (q.distance_sq(pt), *i, *pt))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                .unwrap();
-            assert_eq!(q.distance_sq(&p), best.0, "query {q:?}");
-            assert_eq!(id, best.1, "query {q:?}");
-        }
-    }
-
-    #[test]
-    fn nearest_on_empty_tree_is_none() {
-        assert!(RTree::new().nearest(&Point::ORIGIN).is_none());
-    }
-
-    #[test]
-    fn nearest_breaks_distance_ties_by_smaller_id() {
-        let mut t = RTree::new();
-        t.insert(7, Point::new(1.0, 0.0));
-        t.insert(3, Point::new(-1.0, 0.0));
-        let (id, _) = t.nearest(&Point::ORIGIN).unwrap();
-        assert_eq!(id, 3);
-    }
-
-    #[test]
     fn duplicate_points_are_kept() {
         let mut t = RTree::new();
         for i in 0..50 {
             t.insert(i, Point::new(1.0, 1.0));
         }
         let r = Rect::new(Point::new(0.5, 0.5), Point::new(1.5, 1.5));
-        assert_eq!(t.range_rect(&r).len(), 50);
+        assert_eq!(window(&t, &r).len(), 50);
     }
 }

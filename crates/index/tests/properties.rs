@@ -24,6 +24,14 @@ fn rect() -> impl Strategy<Value = Rect> {
     (pt(), pt()).prop_map(|(a, b)| Rect::new(a, b))
 }
 
+/// Ids of the entries `for_each_in_rect` reports inside `r`, sorted.
+fn window(t: &RTree, r: &Rect) -> Vec<u32> {
+    let mut out = Vec::new();
+    t.for_each_in_rect(r, |id, _| out.push(id));
+    out.sort_unstable();
+    out
+}
+
 fn brute(items: &[(u32, Point)], r: &Rect) -> Vec<u32> {
     let mut v: Vec<u32> = items
         .iter()
@@ -43,7 +51,7 @@ proptest! {
     #[test]
     fn rtree_bulk_matches_brute(items in items(), r in rect()) {
         let t = RTree::bulk_load(items.clone());
-        prop_assert_eq!(t.range_rect(&r), brute(&items, &r));
+        prop_assert_eq!(window(&t, &r), brute(&items, &r));
     }
 
     #[test]
@@ -52,23 +60,7 @@ proptest! {
         for (id, p) in &items {
             t.insert(*id, *p);
         }
-        prop_assert_eq!(t.range_rect(&r), brute(&items, &r));
-    }
-
-    #[test]
-    fn rtree_nearest_matches_brute(items in items(), q in pt()) {
-        let t = RTree::bulk_load(items.clone());
-        match t.nearest(&q) {
-            None => prop_assert!(items.is_empty()),
-            Some((id, p)) => {
-                let best = items.iter()
-                    .map(|(i, pt)| (q.distance_sq(pt), *i))
-                    .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .unwrap();
-                prop_assert_eq!(q.distance_sq(&p), best.0);
-                prop_assert_eq!(id, best.1);
-            }
-        }
+        prop_assert_eq!(window(&t, &r), brute(&items, &r));
     }
 
     /// The IQuad-tree three-way classification is exact on both certain
@@ -105,17 +97,41 @@ proptest! {
         prop_assert_eq!(a.to_verify, b.to_verify);
     }
 
-    /// users_with_position_in agrees with a brute-force scan.
+    /// users_with_position_in agrees with a brute-force scan. A facility
+    /// outside the indexed region gets no IS pruning, so `traverse`
+    /// verifies exactly the users with a position in its NIR window; `v`
+    /// sits beyond a random side, near enough for that window to cover
+    /// the tree partly, wholly or not at all.
     #[test]
-    fn iquadtree_user_query_matches_brute(us in users(), r in rect()) {
+    fn iquadtree_user_query_matches_brute(us in users(), tau in 0.1f64..0.9,
+                                          side in 0usize..4, along in 0.0f64..1.0,
+                                          gap in 0.001f64..1.5) {
         let pf = Sigmoid::paper_default();
-        let t = IQuadTree::build(&us, &pf, 0.5, 2.0);
-        let got = t.users_with_position_in(&r, &mut t.scratch());
+        let t = IQuadTree::build(&us, &pf, tau, 2.0);
+        let Some(nir) = t.nir() else {
+            return Ok(());
+        };
+        let root = t.root_region();
+        let (lo, hi) = (root.min, root.max);
+        let x = lo.x - nir + along * (hi.x - lo.x + 2.0 * nir);
+        let y = lo.y - nir + along * (hi.y - lo.y + 2.0 * nir);
+        let v = match side {
+            0 => Point::new(lo.x - gap * nir, y),
+            1 => Point::new(hi.x + gap * nir, y),
+            2 => Point::new(x, lo.y - gap * nir),
+            _ => Point::new(x, hi.y + gap * nir),
+        };
+        if root.contains(&v) {
+            return Ok(());
+        }
+        let out = t.traverse(&v, &mut t.scratch());
+        let window = Rect::point(v).inflate(nir);
         let mut want: Vec<u32> = us.iter().enumerate()
-            .filter(|(_, u)| u.positions().iter().any(|p| r.contains(p)))
+            .filter(|(_, u)| u.positions().iter().any(|p| window.contains(p)))
             .map(|(i, _)| i as u32)
             .collect();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
+        prop_assert!(out.influenced.is_empty());
+        prop_assert_eq!(out.to_verify, want);
     }
 }

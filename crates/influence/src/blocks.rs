@@ -220,6 +220,7 @@ impl PositionBlocks {
 
     /// Total number of blocks across all users.
     #[inline]
+    // lint:allow(unread-pub): influence/tests/properties.rs checks `PositionBlocks::build`'s block layout through it
     pub fn n_blocks(&self) -> usize {
         self.rects.len()
     }
@@ -232,25 +233,28 @@ impl PositionBlocks {
 
     /// The global block-index range owned by `user`.
     #[inline]
-    pub fn user_blocks(&self, user: u32) -> std::ops::Range<usize> {
+    fn user_blocks(&self, user: u32) -> std::ops::Range<usize> {
         let o = user as usize;
         self.user_offsets[o] as usize..self.user_offsets[o + 1] as usize
     }
 
     /// The MBR of block `b`.
     #[inline]
+    // lint:allow(unread-pub): influence/tests/properties.rs checks `PositionBlocks::build`'s block layout through it
     pub fn block_rect(&self, b: usize) -> &Rect {
         &self.rects[b]
     }
 
     /// Number of positions in block `b`.
     #[inline]
+    // lint:allow(unread-pub): influence/tests/properties.rs checks `PositionBlocks::build`'s block layout through it
     pub fn block_len(&self, b: usize) -> usize {
         (self.block_offsets[b + 1] - self.block_offsets[b]) as usize
     }
 
     /// The SoA coordinate slices of block `b`.
     #[inline]
+    // lint:allow(unread-pub): influence/tests/properties.rs checks `PositionBlocks::build`'s block layout through it
     pub fn block_positions(&self, b: usize) -> (&[f64], &[f64]) {
         let range = self.block_offsets[b] as usize..self.block_offsets[b + 1] as usize;
         (&self.xs[range.clone()], &self.ys[range])
@@ -529,6 +533,7 @@ impl BlockCounters {
 /// assert!(influences_blocked(&pf, &Point::ORIGIN, &blocks, 0, 0.7, &mut scratch));
 /// assert!(!influences_blocked(&pf, &Point::ORIGIN, &blocks, 0, 0.8, &mut scratch));
 /// ```
+// lint:allow(unread-pub): the counter-free entry through which this file's and properties.rs's tests hold the lane kernel that `influences_blocked_counted` runs to the exact walk
 pub fn influences_blocked<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
@@ -575,6 +580,7 @@ pub fn influences_blocked_counted<PF: ProbabilityFunction + ?Sized, C: CountEval
 /// with `PF::prob` per position and an empty error band, never consulting
 /// the fast-PF approximation. The lane kernel's fallback, and the oracle
 /// and timing baseline it is checked against.
+// lint:allow(unread-pub): the exact-`exp` oracle that this file's and properties.rs's tests hold the lane kernel to
 pub fn influences_blocked_exact<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,

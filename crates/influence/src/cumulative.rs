@@ -4,19 +4,17 @@
 use crate::ProbabilityFunction;
 use mc2ls_geo::Point;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Anything that can count position-probability evaluations.
 ///
 /// The paper's Fig. 15(b)/16(b) report "verification computation cost" — the
 /// number of per-position probability evaluations the verification phase
 /// performs. Threading a `&mut u64` through every call site would infect
-/// read-only query APIs, so counters are interior-mutable. Two impls:
-/// [`EvalCounter`] (a `Cell`, the single-thread fast path) and
-/// [`AtomicEvalCounter`] (`Sync`, shareable across workers). The parallel
-/// pipeline prefers one `EvalCounter` *per worker*, summed at join — no
-/// cache-line ping-pong, and the total is order-independent, keeping
-/// reported statistics identical to a serial run.
+/// read-only query APIs, so counters are interior-mutable. The impl is
+/// [`EvalCounter`] (a `Cell`); the parallel pipeline gives each worker its
+/// own and sums them at join — no cache-line ping-pong, and the total is
+/// order-independent, keeping reported statistics identical to a serial
+/// run.
 pub trait CountEvals {
     /// Adds `n` evaluations.
     fn add(&self, n: u64);
@@ -60,45 +58,6 @@ impl CountEvals for EvalCounter {
 
     fn get(&self) -> u64 {
         EvalCounter::get(self)
-    }
-}
-
-/// Thread-safe evaluation counter (relaxed atomics: only the final sum
-/// matters, and addition commutes, so totals match serial runs exactly).
-#[derive(Debug, Default)]
-pub struct AtomicEvalCounter(AtomicU64);
-
-impl AtomicEvalCounter {
-    /// A fresh zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current number of evaluated positions.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Adds `n` evaluations.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl CountEvals for AtomicEvalCounter {
-    #[inline]
-    fn add(&self, n: u64) {
-        AtomicEvalCounter::add(self, n);
-    }
-
-    fn get(&self) -> u64 {
-        AtomicEvalCounter::get(self)
     }
 }
 
@@ -151,9 +110,8 @@ pub fn influences<PF: ProbabilityFunction + ?Sized>(
 
 /// [`influences`] that also counts how many positions were actually
 /// evaluated before a decision (for the verification-cost experiments).
-/// Accepts any [`CountEvals`] impl, so serial callers keep the cheap
-/// `Cell`-based [`EvalCounter`] while parallel callers may share an
-/// [`AtomicEvalCounter`].
+/// Accepts any [`CountEvals`] impl; parallel callers give each worker its
+/// own `Cell`-based [`EvalCounter`].
 pub fn influences_counted<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
     pf: &PF,
     v: &Point,
@@ -295,32 +253,6 @@ mod tests {
         assert_eq!(c.get(), 7);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn atomic_counter_matches_cell_counter_across_threads() {
-        let pf = Sigmoid::paper_default();
-        let v = Point::ORIGIN;
-        let positions: Vec<Point> = (0..30).map(|i| Point::new(i as f64 * 0.3, 0.0)).collect();
-
-        let serial = EvalCounter::new();
-        for _ in 0..8 {
-            influences_counted(&pf, &v, &positions, 0.8, &serial);
-        }
-
-        let shared = AtomicEvalCounter::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..2 {
-                        influences_counted(&pf, &v, &positions, 0.8, &shared);
-                    }
-                });
-            }
-        });
-        assert_eq!(shared.get(), serial.get());
-        shared.reset();
-        assert_eq!(shared.get(), 0);
     }
 
     #[test]

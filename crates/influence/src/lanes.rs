@@ -2,11 +2,12 @@
 //! `e^x` fast path and an integer power helper, both in safe scalar Rust
 //! that the compiler auto-vectorises when called over fixed-width chunks.
 //!
-//! The kernel never trusts the fast path blindly: [`EXP_NEG_EPS`] and
-//! [`FAST_PF_EPS`] are *published, test-enforced* error bounds that the
-//! blocked kernel folds into its two-sided suffix-product stops, so a fast
-//! evaluation can only ever make a decision that the exact `exp` kernel
-//! would also make (see `blocks.rs` for the bracketing argument).
+//! The kernel never trusts the fast path blindly: [`exp_neg`]'s relative
+//! error bound and [`FAST_PF_EPS`] are *published, test-enforced* error
+//! bounds that the blocked kernel folds into its two-sided suffix-product
+//! stops, so a fast evaluation can only ever make a decision that the
+//! exact `exp` kernel would also make (see `blocks.rs` for the bracketing
+//! argument).
 
 use std::f64::consts::{LN_2, LOG2_E};
 
@@ -16,23 +17,12 @@ use std::f64::consts::{LN_2, LOG2_E};
 /// free of bounds checks and per-element branches.
 pub use mc2ls_geo::LANE;
 
-/// Relative error bound of [`exp_neg`] against `f64::exp` on `[-700, 0]`:
-/// `|exp_neg(x) − e^x| ≤ EXP_NEG_EPS · e^x`. Enforced by a dense-grid test;
-/// the observed maximum is a few times smaller (the bound keeps margin for
-/// future targets with different rounding of the polynomial). The value is
-/// a deliberate speed/precision point: the degree-8 polynomial behind it is
-/// measurably cheaper than one more term, and the kernel's error-band
-/// fallback makes *any* published bound decision-exact — a looser band only
-/// risks more exact-path fallbacks, and at this width the observed fallback
-/// rate is still zero on every bench preset.
-pub const EXP_NEG_EPS: f64 = 1e-9;
-
 /// Per-unit-ρ absolute error budget of the lane PF evaluations
 /// (`ProbabilityFunction::prob_lanes`): every fast PF guarantees
 /// `|prob_lanes(d) − prob(d)| ≤ ρ · FAST_PF_EPS`. Set 10× above
-/// [`EXP_NEG_EPS`] so the budget also absorbs the rounding of the
-/// surrounding sigmoid/exponential formulas; the blocked kernel treats it
-/// as the half-width of the factor bracket it maintains.
+/// [`exp_neg`]'s relative bound so the budget also absorbs the rounding of
+/// the surrounding sigmoid/exponential formulas; the blocked kernel treats
+/// it as the half-width of the factor bracket it maintains.
 pub const FAST_PF_EPS: f64 = 1e-8;
 
 /// Below this input the fast path returns `0.0` outright: `e^x < 1e-304`
@@ -59,9 +49,17 @@ const UNDERFLOW_CUTOFF: f64 = -700.0;
 /// with the early-out branch leaves a straight-line body the compiler can
 /// if-convert and auto-vectorise across lanes. Inputs below
 /// [`UNDERFLOW_CUTOFF`] are clamped for the computation and the result is
-/// selected to `0.0` at the end (absolute error `≤ 1e-304`); the relative
-/// error everywhere else is bounded by [`EXP_NEG_EPS`], which the
-/// dense-grid test enforces.
+/// selected to `0.0` at the end (absolute error `≤ 1e-304`).
+///
+/// The relative error on `[-700, 0]` is bounded: `|exp_neg(x) − e^x| ≤
+/// 1e-9 · e^x`, which a dense-grid test enforces; the observed maximum is a
+/// few times smaller (the bound keeps margin for future targets with
+/// different rounding of the polynomial). The bound is a deliberate
+/// speed/precision point: the degree-8 polynomial behind it is measurably
+/// cheaper than one more term, and the kernel's error-band fallback makes
+/// *any* published bound decision-exact — a looser band only risks more
+/// exact-path fallbacks, and at this width the observed fallback rate is
+/// still zero on every bench preset.
 #[inline]
 pub fn exp_neg(x: f64) -> f64 {
     debug_assert!(
@@ -86,7 +84,7 @@ pub fn exp_neg(x: f64) -> f64 {
     let r = xc - k * LN_2;
     // e^r as its degree-8 Taylor polynomial (Horner form). With
     // |r| ≤ ln 2 / 2 the truncation term r⁹/9! stays below 3·10⁻¹⁰
-    // relative to e^r ≥ 1/√2 — inside [`EXP_NEG_EPS`] with margin, and two
+    // relative to e^r ≥ 1/√2 — inside the 1e-9 bound with margin, and two
     // terms cheaper than the next precision step (see the constant's doc
     // for why this speed/precision point is the right one).
     let p = 1.0
@@ -142,6 +140,9 @@ pub fn pow_n(base: f64, mut n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`exp_neg`]'s published relative error bound on `[-700, 0]`.
+    const EXP_NEG_EPS: f64 = 1e-9;
 
     #[test]
     fn exp_neg_meets_its_published_bound_on_a_dense_grid() {

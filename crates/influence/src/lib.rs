@@ -5,9 +5,8 @@
 //! * [`ProbabilityFunction`] — the distance-based utility `PF(d)` that maps
 //!   the distance between an abstract facility and one user position to an
 //!   influence probability. The paper's experiments use the sigmoid
-//!   `PF(d) = ρ/(1 + e^d)` ([`Sigmoid`]); [`Exponential`], [`Linear`] and
-//!   [`Step`] model the alternative influence-preference semantics the
-//!   related work discusses (range-based, linear-decay).
+//!   `PF(d) = ρ/(1 + e^d)` ([`Sigmoid`]); [`Exponential`] is a second
+//!   fast-path override the kernel tests hold to the same decisions.
 //! * [`cumulative_probability`] / [`influences`] — Definitions 1–2: a user is
 //!   influenced when `Pr_v(o) = 1 − Π(1 − PF(d(v, pᵢ))) ≥ τ`, with the
 //!   early-stopping evaluation from PINOCCHIO.
@@ -51,11 +50,10 @@ pub use blocks::{
     PositionBlocks, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
 };
 pub use cumulative::{
-    cumulative_probability, influences, influences_counted, AtomicEvalCounter, CountEvals,
-    EvalCounter,
+    cumulative_probability, influences, influences_counted, CountEvals, EvalCounter,
 };
-pub use lanes::{exp_neg, pow_n, EXP_NEG_EPS, FAST_PF_EPS, LANE};
-pub use model::{CompetitionModel, Model, LOGIT_GAMMA};
-pub use pf::{Exponential, Linear, ProbabilityFunction, Sigmoid, Step};
+pub use lanes::{exp_neg, pow_n, FAST_PF_EPS, LANE};
+pub use model::{CompetitionModel, Model};
+pub use pf::{Exponential, ProbabilityFunction, Sigmoid};
 pub use radius::{eta, eta_count, min_max_radius, non_influence_radius};
-pub use user::{MovingUser, UserId};
+pub use user::MovingUser;

@@ -20,7 +20,7 @@
 //! * [`Model::Logit`] — a random-utility (logit/RUM) share. Each facility
 //!   `f` in the user's choice set has utility `u_f`; the entrant's share
 //!   is `exp(u_c)/Σ_f exp(u_f)`. With incumbent utilities normalised to 0
-//!   and a fixed entrant advantage `γ =` [`LOGIT_GAMMA`] (newer sites win
+//!   and a fixed entrant advantage `γ =` `LOGIT_GAMMA` (newer sites win
 //!   ties), the share over `w` incumbents is `e^γ/(e^γ + w) =
 //!   1/(1 + w·e^{-γ})` — evaluated through the bounded-error
 //!   [`exp_neg`] fast path (its argument `-γ` is a negative constant, so
@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 /// 0.5` an uncontested user yields share 1, one incumbent leaves
 /// `1/(1+e^{-0.5}) ≈ 0.622` — strictly kinder to contested users than the
 /// cumulative model's `0.5`, decaying to the same `~1/w` tail.
-pub const LOGIT_GAMMA: f64 = 0.5;
+const LOGIT_GAMMA: f64 = 0.5;
 
 /// A competition model: per-weight-class contribution to the collective
 /// influence plus the structural declaration the selector router needs.
@@ -82,7 +82,7 @@ pub enum Model {
     /// The paper's cumulative-probability split: `n/(w+1)` per class.
     #[default]
     Cumulative,
-    /// Logit/RUM share with entrant advantage [`LOGIT_GAMMA`]:
+    /// Logit/RUM share with entrant advantage `LOGIT_GAMMA` (0.5):
     /// `n/(1 + w·e^{-γ})` per class.
     Logit,
 }

@@ -114,6 +114,7 @@ impl ProbabilityFunction for Sigmoid {
 /// Exponential decay `PF(d) = ρ·e^{−d/σ}` — a common alternative influence
 /// preference (steeper near the facility than the sigmoid).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+// lint:allow(unread-pub): influence/tests/properties.rs holds the lane kernel to the exact walk on this second fast-PF override
 pub struct Exponential {
     /// Maximum probability at distance zero.
     pub rho: f64,
@@ -160,77 +161,6 @@ impl ProbabilityFunction for Exponential {
     }
 }
 
-/// Linear decay `PF(d) = ρ·max(0, 1 − d/R)` — zero beyond the cutoff `R`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Linear {
-    /// Maximum probability at distance zero.
-    pub rho: f64,
-    /// Cutoff radius in km beyond which the probability is zero.
-    pub cutoff: f64,
-}
-
-impl Linear {
-    /// Creates a linear-decay utility.
-    pub fn new(rho: f64, cutoff: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0, "rho must be in (0, 1], got {rho}");
-        assert!(cutoff > 0.0, "cutoff must be positive, got {cutoff}");
-        Linear { rho, cutoff }
-    }
-}
-
-impl ProbabilityFunction for Linear {
-    #[inline]
-    fn prob(&self, d: f64) -> f64 {
-        debug_assert!(d >= 0.0);
-        self.rho * (1.0 - d / self.cutoff).max(0.0)
-    }
-
-    fn inverse(&self, p: f64) -> Option<f64> {
-        if p <= 0.0 || p > self.rho {
-            return None;
-        }
-        Some(((1.0 - p / self.rho) * self.cutoff).max(0.0))
-    }
-}
-
-/// Range (yes/no) semantics `PF(d) = ρ·[d ≤ R]` — the influence model used
-/// by range-coverage CLS work ([16] in the paper); included as a comparator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Step {
-    /// Probability inside the range.
-    pub rho: f64,
-    /// Range radius in km.
-    pub range: f64,
-}
-
-impl Step {
-    /// Creates a step utility.
-    pub fn new(rho: f64, range: f64) -> Self {
-        assert!(rho > 0.0 && rho <= 1.0, "rho must be in (0, 1], got {rho}");
-        assert!(range > 0.0, "range must be positive, got {range}");
-        Step { rho, range }
-    }
-}
-
-impl ProbabilityFunction for Step {
-    #[inline]
-    fn prob(&self, d: f64) -> f64 {
-        debug_assert!(d >= 0.0);
-        if d <= self.range {
-            self.rho
-        } else {
-            0.0
-        }
-    }
-
-    fn inverse(&self, p: f64) -> Option<f64> {
-        if p <= 0.0 || p > self.rho {
-            return None;
-        }
-        Some(self.range)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,25 +200,6 @@ mod tests {
             assert!((pf.prob(d) - p).abs() < 1e-9);
         }
         assert!(pf.inverse(1.5).is_none());
-    }
-
-    #[test]
-    fn linear_cuts_off() {
-        let pf = Linear::new(1.0, 2.0);
-        assert_eq!(pf.prob(2.0), 0.0);
-        assert_eq!(pf.prob(5.0), 0.0);
-        assert!((pf.prob(1.0) - 0.5).abs() < 1e-12);
-        assert!((pf.inverse(0.5).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_is_flat_inside_range() {
-        let pf = Step::new(0.9, 1.5);
-        assert_eq!(pf.prob(0.0), 0.9);
-        assert_eq!(pf.prob(1.5), 0.9);
-        assert_eq!(pf.prob(1.500001), 0.0);
-        // Inverse of any achievable p is the full range.
-        assert_eq!(pf.inverse(0.5).unwrap(), 1.5);
     }
 
     #[test]
@@ -343,9 +254,23 @@ mod tests {
         }
     }
 
+    /// Linear decay `ρ·max(0, 1 − d/R)` at ρ = 1, R = 2: a PF that keeps
+    /// the trait's default lane evaluation.
+    struct Linear;
+
+    impl ProbabilityFunction for Linear {
+        fn prob(&self, d: f64) -> f64 {
+            (1.0 - d / 2.0).max(0.0)
+        }
+
+        fn inverse(&self, p: f64) -> Option<f64> {
+            (p > 0.0 && p <= 1.0).then(|| ((1.0 - p) * 2.0).max(0.0))
+        }
+    }
+
     #[test]
     fn default_lane_path_is_exact() {
-        let pf = Linear::new(1.0, 2.0);
+        let pf = Linear;
         assert_eq!(pf.lane_error_bound(), 0.0);
         let d = [0.0, 0.5, 1.0, 1.9, 2.5, 100.0];
         let mut out = [0.0; 6];

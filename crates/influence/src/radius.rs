@@ -176,9 +176,11 @@ mod tests {
 
     #[test]
     fn eta_infinite_beyond_cutoff() {
-        let pf = crate::Linear::new(1.0, 1.0);
-        assert!(eta(&pf, 0.5, 2.0).is_infinite());
-        assert!(eta_count(&pf, 0.5, 2.0).is_none());
+        // e^{-2000} underflows to 0: no count of positions that far out
+        // reaches τ.
+        let pf = crate::Exponential::new(1.0, 1.0);
+        assert!(eta(&pf, 0.5, 2000.0).is_infinite());
+        assert!(eta_count(&pf, 0.5, 2000.0).is_none());
         assert!(eta_count(&pf, 0.5, 0.5).is_some());
     }
 

@@ -1,9 +1,6 @@
 use mc2ls_geo::{Point, Rect};
 use std::sync::Arc;
 
-/// Identifier of a moving user: its index in the problem's user vector.
-pub type UserId = u32;
-
 /// A moving user `o = {p₁, …, p_r}` with its cached activity MBR
 /// (paper §III-A).
 ///

@@ -17,6 +17,7 @@
 //! | R6   | lock-order      | workspace lock graph                   | any cycle of lock-acquisition order, incl. through callees |
 //! | R7   | panic-propagation| public fns of panic-path crates       | transitive reach of an unwaived panic / unguarded indexing |
 //! | R8   | hold-across-blocking | `serve` worker files              | guard held across blocking I/O, joins, waits, or lock-taking calls |
+//! | R9   | unread-pub      | pipeline library crates (not `cli`/`bench`/`lint`) | `pub` item no other file's non-test code names |
 //! | W1   | bad-waiver      | everywhere                             | waiver without a reason / unknown rule |
 //! | W2   | unused-waiver   | everywhere                             | waiver that suppresses nothing |
 //!
@@ -25,7 +26,10 @@
 //! per-function lock/call/blocking summary ([`lockscope`]); the call
 //! graph ([`callgraph`]) closes lock, blocking and panic reachability
 //! over resolved edges, and the three rules read those closures. The
-//! whole substrate dumps to JSON via `--graph-json` for CI diffing.
+//! whole substrate dumps to JSON via `--graph-json` for CI diffing. R9 is
+//! a **cross-file** token rule: an item counts as read when any other
+//! crate source, example or the end-to-end benchmark names it, so it
+//! over-approximates use and never flags a live item.
 //!
 //! Violations are waived inline with `// lint:allow(<rule>): <reason>` on
 //! the offending line or the line above; the reason is mandatory and
@@ -47,6 +51,7 @@ pub mod parser;
 mod r6_lock_order;
 mod r7_panic_prop;
 mod r8_hold_blocking;
+mod r9_unread_pub;
 mod rules;
 pub mod scopes;
 pub mod symbols;
@@ -63,6 +68,20 @@ const RESULT_CRATES: [&str; 6] = ["core", "index", "influence", "geo", "serve", 
 
 /// Crates exempt from R2: binaries and the bench harness may shortcut.
 const PANIC_EXEMPT_CRATES: [&str; 2] = ["cli", "bench"];
+
+/// The pipeline library crates whose `pub` items R9 checks. The tool
+/// crates (`cli`, `bench`, `lint`) are not checked, but their code reads.
+const PIPELINE_CRATES: [&str; 9] = [
+    "geo",
+    "influence",
+    "index",
+    "core",
+    "candgen",
+    "data",
+    "serve",
+    "viz",
+    "mc2ls",
+];
 
 /// Hot-path files for R4 (CSR layouts, Morton codes, selection heaps,
 /// shard views, the update engine's slot/buffer arithmetic, the live
@@ -140,10 +159,26 @@ pub fn classify(rel: &str) -> Option<FileClass> {
                 bin_crate: PANIC_EXEMPT_CRATES.contains(&name) || is_bin_target,
                 hold_across_blocking: name == "serve",
                 index_guard: INDEX_GUARD_SCOPE.contains(&rel),
+                unread_pub: PIPELINE_CRATES.contains(&name) && !is_bin_target,
+                pub_reader: true,
             });
         }
-        // Integration tests / benches of a crate: unsafe audit only.
-        return Some(FileClass::default());
+        // Integration tests / benches of a crate: unsafe audit only. A
+        // crate's example programs also read `pub` items (R9).
+        return Some(FileClass {
+            pub_reader: tail.starts_with("examples/"),
+            ..FileClass::default()
+        });
+    }
+
+    // The end-to-end benchmark is a workspace of its own. Its sources read
+    // the crates' `pub` items (R9); like every walked file, they get the
+    // `unsafe` token audit (R3) and the waiver checks, and nothing else.
+    if rel.starts_with("perfbench/src/") {
+        return Some(FileClass {
+            pub_reader: true,
+            ..FileClass::default()
+        });
     }
 
     // Offline dependency shims: reimplemented third-party API surface.
@@ -169,6 +204,7 @@ pub fn classify(rel: &str) -> Option<FileClass> {
     if rel.starts_with("tests/") || rel.starts_with("examples/") {
         return Some(FileClass {
             crate_root: rel == "tests/src/lib.rs",
+            pub_reader: rel.starts_with("examples/"),
             ..FileClass::default()
         });
     }
@@ -222,9 +258,11 @@ pub(crate) struct FileAnal {
     pub(crate) class: FileClass,
     pub(crate) waivers: Vec<rules::Waiver>,
     /// Raw (pre-waiver) diagnostics; the graph rules append here so one
-    /// waiver protocol covers R1–R8 uniformly.
+    /// waiver protocol covers R1–R9 uniformly.
     pub(crate) raw: Vec<Diagnostic>,
     pub(crate) fns: Vec<FnAnal>,
+    /// R9's view of the file: its checked `pub` items and what it reads.
+    pub(crate) surface: r9_unread_pub::Surface,
 }
 
 /// The result of a project-level lint run.
@@ -241,7 +279,8 @@ pub struct ProjectReport {
 
 /// Lints a set of files as **one project**: token rules (R1–R5) per file,
 /// then the inter-procedural rules (R6–R8) over the cross-file call
-/// graph, then waiver accounting (W1/W2) across all of it.
+/// graph and R9 over the cross-file name index, then waiver accounting
+/// (W1/W2) across all of it.
 pub fn lint_project(files: &[ProjectFile]) -> ProjectReport {
     let mut anals: Vec<FileAnal> = Vec::new();
     let mut diags: Vec<Diagnostic> = Vec::new();
@@ -272,12 +311,14 @@ pub fn lint_project(files: &[ProjectFile]) -> ProjectReport {
                 fns.push(FnAnal { item, ops });
             }
         }
+        let surface = r9_unread_pub::scan(&toks, &code, &sc, pf.class);
         anals.push(FileAnal {
             path: pf.path.clone(),
             class: pf.class,
             waivers,
             raw,
             fns,
+            surface,
         });
     }
 
@@ -285,8 +326,13 @@ pub fn lint_project(files: &[ProjectFile]) -> ProjectReport {
     let mut graph_raw = r6_lock_order::check(&graph);
     graph_raw.extend(r7_panic_prop::check(&graph, &anals));
     graph_raw.extend(r8_hold_blocking::check(&graph, &anals));
-    // Route each graph diagnostic into its file's raw list so the normal
-    // same-line / line-above waiver protocol applies to R6–R8 too.
+    let surfaces: Vec<(&str, &r9_unread_pub::Surface)> = anals
+        .iter()
+        .map(|f| (f.path.as_str(), &f.surface))
+        .collect();
+    graph_raw.extend(r9_unread_pub::check(&surfaces));
+    // Route each project diagnostic into its file's raw list so the normal
+    // same-line / line-above waiver protocol applies to R6–R9 too.
     for d in graph_raw {
         match anals.iter_mut().find(|f| f.path == d.file) {
             Some(f) => f.raw.push(d),
@@ -324,14 +370,14 @@ pub fn lint_source(path: &str, src: &str, class: FileClass) -> Vec<Diagnostic> {
 }
 
 /// Builds the [`ProjectFile`] set for a workspace checkout: every
-/// in-scope `.rs` file under `crates/`, `shims/`, `tests/`, `examples/`,
-/// in sorted order.
+/// in-scope `.rs` file under `crates/`, `shims/`, `tests/`, `examples/`
+/// and `perfbench/src/`, in sorted order.
 ///
 /// # Errors
 /// Propagates I/O errors from walking or reading the tree.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<ProjectFile>> {
     let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["crates", "shims", "tests", "examples"] {
+    for top in ["crates", "shims", "tests", "examples", "perfbench/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
             collect_rs(root, &dir, &mut files)?;
@@ -486,6 +532,25 @@ mod tests {
 
         let cli = classify("crates/cli/src/commands.rs").expect("in scope");
         assert!(!cli.panic_path && !cli.nondet_iteration);
+
+        // R9 checks the pipeline crates; every crate source, example and
+        // the end-to-end benchmark reads, tests and benches do not.
+        assert!(core.unread_pub && core.pub_reader);
+        assert!(!cli.unread_pub && cli.pub_reader);
+        let bench = classify("perfbench/src/workloads/ops.rs").expect("in scope");
+        assert!(bench.pub_reader && !bench.unread_pub && !bench.panic_path);
+        let example = classify("examples/quickstart.rs").expect("in scope");
+        assert!(example.pub_reader && !example.unread_pub);
+        let crate_example = classify("crates/data/examples/calibration.rs").expect("in scope");
+        assert!(crate_example.pub_reader);
+        let test = classify("crates/core/tests/greedy.rs").expect("in scope");
+        assert!(!test.pub_reader && !test.unread_pub);
+        assert!(
+            !classify("tests/tests/extensions.rs")
+                .expect("in scope")
+                .pub_reader
+        );
+        assert!(classify("perfbench/tests/smoke.rs").is_none());
 
         // The serving layer hands out results over the wire: both the
         // determinism rule and the no-panic rule apply in full.

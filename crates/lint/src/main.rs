@@ -17,7 +17,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: mc2ls-lint [--workspace-root <dir>] [--json] \
 [--graph-json <path>] [--fix-waivers]
 
-Determinism & safety linter for the MC2LS workspace (rules R1-R8, W1-W2).
+Determinism & safety linter for the MC2LS workspace (rules R1-R9, W1-W2).
 Exits 0 when clean, 1 when any diagnostic fires, 2 on usage/I/O errors.
 
 options:

@@ -161,7 +161,7 @@ pub fn parse_items(toks: &[Tok<'_>], code: &[usize], scopes: &Scopes) -> Vec<FnI
 /// Scans an `impl`/`trait` header starting just after the keyword: skips
 /// generics, resolves `impl A for B` to `B`, stops at the opening brace.
 /// Returns the self-type name and the code index of the `{`.
-fn parse_self_ty_header(
+pub(crate) fn parse_self_ty_header(
     toks: &[Tok<'_>],
     code: &[usize],
     start: usize,

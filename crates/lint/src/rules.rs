@@ -1,5 +1,6 @@
-//! The rule engine: five determinism/safety rules over the token stream,
-//! plus the waiver protocol (`// lint:allow(<rule>): <reason>`).
+//! The rule engine: the token-level determinism/safety rules (R1–R5),
+//! plus the waiver protocol (`// lint:allow(<rule>): <reason>`) that every
+//! rule, R6–R9 included, is waived through.
 //!
 //! Rules fire on *code* tokens only (the lexer already separates strings,
 //! char literals and comments), and never inside `#[cfg(test)]` /
@@ -33,6 +34,9 @@ pub enum Rule {
     PanicPropagation,
     /// R8 — guard held across a blocking call in serve-worker code.
     HoldAcrossBlocking,
+    /// R9 — `pub` item of a pipeline crate that no other file's non-test
+    /// code names.
+    UnreadPub,
     /// W1 — malformed waiver (unknown rule or missing reason).
     BadWaiver,
     /// W2 — waiver that suppressed nothing.
@@ -51,6 +55,7 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::PanicPropagation => "panic-propagation",
             Rule::HoldAcrossBlocking => "hold-across-blocking",
+            Rule::UnreadPub => "unread-pub",
             Rule::BadWaiver => "bad-waiver",
             Rule::UnusedWaiver => "unused-waiver",
         }
@@ -67,6 +72,7 @@ impl Rule {
             Rule::LockOrder => "R6",
             Rule::PanicPropagation => "R7",
             Rule::HoldAcrossBlocking => "R8",
+            Rule::UnreadPub => "R9",
             Rule::BadWaiver => "W1",
             Rule::UnusedWaiver => "W2",
         }
@@ -83,6 +89,7 @@ impl Rule {
             Rule::LockOrder,
             Rule::PanicPropagation,
             Rule::HoldAcrossBlocking,
+            Rule::UnreadPub,
         ];
         all.into_iter()
             .find(|r| r.slug() == name || r.code() == name)
@@ -143,10 +150,17 @@ pub struct FileClass {
     /// R7 indexing half: request-path file where unguarded slice indexing
     /// counts as a panic source.
     pub index_guard: bool,
+    /// R9: pipeline library file whose `pub` items must have a reader.
+    pub unread_pub: bool,
+    /// R9 reader: the file's non-test code counts as a use of any item it
+    /// names (crate sources, examples, the end-to-end benchmark).
+    pub pub_reader: bool,
 }
 
 impl FileClass {
-    /// Everything on — the strictest class (used by fixtures).
+    /// Every per-file rule on — the strictest class (used by fixtures).
+    /// R9 stays off: it judges a file by the project around it, so its
+    /// self-test sets the two R9 flags explicitly.
     pub fn strict() -> Self {
         FileClass {
             nondet_iteration: true,
@@ -158,6 +172,8 @@ impl FileClass {
             bin_crate: false,
             hold_across_blocking: true,
             index_guard: true,
+            unread_pub: false,
+            pub_reader: false,
         }
     }
 }

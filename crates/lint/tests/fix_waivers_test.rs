@@ -10,12 +10,12 @@ const SRC: &str = "#![forbid(unsafe_code)]\n\
 // lint:allow(nondet-iteration): keyed lookup table only; never iterated\n\
 use std::collections::HashMap;\n\
 \n\
-pub fn double(x: u32) -> u32 {\n\
+fn double(x: u32) -> u32 {\n\
     // lint:allow(panic-path): nothing here panics\n\
     x * 2\n\
 }\n\
 \n\
-pub fn tail(x: u32) -> u32 {\n\
+fn tail(x: u32) -> u32 {\n\
     x + 1 // lint:allow(float-accum): stale trailing note\n\
 }\n";
 

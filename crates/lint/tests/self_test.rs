@@ -9,7 +9,7 @@
 
 #![forbid(unsafe_code)]
 
-use mc2ls_lint::{lint_project, lint_source, FileClass, ProjectFile, Rule};
+use mc2ls_lint::{classify, lint_project, lint_source, FileClass, ProjectFile, Rule};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -243,6 +243,111 @@ fn graph_rules_cross_file_boundaries() {
     // The graph dump knows both functions and the resolved edge.
     assert!(report.graph_json.contains("\"name\":\"run\""));
     assert!(report.graph_json.contains("\"name\":\"pick\""));
+}
+
+/// The R9 project: the checked fixture as a `geo` source file, another
+/// crate's source and test files, and the benchmark stand-in, each classed
+/// by its path.
+fn r9_project() -> Vec<ProjectFile> {
+    let file = |path: &str, src: String| ProjectFile {
+        path: path.into(),
+        class: classify(path).expect("in scope"),
+        src,
+    };
+    vec![
+        file(
+            "crates/geo/src/r9_unread_pub.rs",
+            fixture("r9_unread_pub.rs"),
+        ),
+        file(
+            "crates/app/src/lib.rs",
+            concat!(
+                "#![forbid(unsafe_code)]\n",
+                "pub use mc2ls_geo::only_reexported;\n",
+                "// only_own_tests() is named in a comment, which reads nothing.\n",
+                "pub fn build() -> u32 {\n",
+                "    let _ = \"only_other_tests\";\n",
+                "    mc2ls_geo::read_from_src().unwrap_or(0)\n",
+                "}\n",
+            )
+            .into(),
+        ),
+        file(
+            "crates/app/tests/it.rs",
+            concat!(
+                "#[test]\n",
+                "fn uses() {\n",
+                "    assert_eq!(mc2ls_geo::only_other_tests() + mc2ls_geo::oracle(), 9);\n",
+                "}\n",
+            )
+            .into(),
+        ),
+        file(
+            "perfbench/src/workloads.rs",
+            fixture("r9_perfbench_reader.rs"),
+        ),
+    ]
+}
+
+#[test]
+fn r9_flags_pub_items_no_other_file_reads() {
+    let report = lint_project(&r9_project());
+    let got: Vec<(Rule, &str, u32)> = report
+        .diags
+        .iter()
+        .map(|d| (d.rule, d.file.as_str(), d.line))
+        .collect();
+    let fixture = "crates/geo/src/r9_unread_pub.rs";
+    assert_eq!(
+        got,
+        vec![
+            (Rule::UnreadPub, fixture, 6),  // only its own unit tests call it
+            (Rule::UnreadPub, fixture, 11), // only another crate's tests/ call it
+            (Rule::UnreadPub, fixture, 16), // named only in a `pub use`
+            (Rule::UnreadPub, fixture, 21), // read only by its own file
+            (Rule::UnreadPub, fixture, 24), // named only by its own impl
+        ]
+    );
+    // Clean: read_from_src (33), SignatureOnly via its signature (39),
+    // read_by_perfbench (42), the shared name `build` (48), the waived
+    // oracle (53, its waiver used), pub(crate) (58), and the benchmark
+    // stand-in's own unread `pub fn`.
+    // Each message ends with the action to take.
+    let message = |line: u32| {
+        report
+            .diags
+            .iter()
+            .find(|d| d.line == line)
+            .map(|d| d.message.as_str())
+            .expect("diagnostic")
+    };
+    assert!(message(6).contains("— delete it"), "{}", message(6));
+    assert!(message(21).contains("— narrow it"), "{}", message(21));
+    assert!(message(6).ends_with("or waive with the invariant that makes it deliberate API"));
+}
+
+#[test]
+fn r9_needs_the_other_files_to_judge() {
+    // Without the benchmark stand-in, its one reader, the item is unread.
+    let mut project = r9_project();
+    project.retain(|f| !f.path.starts_with("perfbench/"));
+    let report = lint_project(&project);
+    assert!(report
+        .diags
+        .iter()
+        .any(|d| d.rule == Rule::UnreadPub && d.line == 42));
+    // On its own, a file has no readers: everything unwaived is flagged.
+    let alone = lint_source(
+        "crates/geo/src/r9_unread_pub.rs",
+        &fixture("r9_unread_pub.rs"),
+        classify("crates/geo/src/r9_unread_pub.rs").expect("in scope"),
+    );
+    let lines: Vec<u32> = alone
+        .iter()
+        .filter(|d| d.rule == Rule::UnreadPub)
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![6, 11, 16, 21, 24, 33, 42, 48]);
 }
 
 #[test]

@@ -51,14 +51,14 @@ pub use mc2ls_viz as viz;
 /// The one-import convenience module.
 pub mod prelude {
     pub use mc2ls_core::algorithms::{
-        influence_sets_threaded, resolve_selector, solve_threaded, solve_with, Selector,
+        influence_sets_threaded, solve_threaded, solve_with, Selector,
     };
     pub use mc2ls_core::{
         algorithms::exact::solve_exact, cinf_of_set, solve, InvertedIndex, IqtConfig, Method,
         Problem, RunReport, SelectionStats, Solution,
     };
     pub use mc2ls_data::{loader, presets, sampler, Dataset, DatasetConfig};
-    pub use mc2ls_geo::{Circle, Point, Rect, Square};
+    pub use mc2ls_geo::{Point, Rect, Square};
     pub use mc2ls_index::{IQuadTree, RTree};
     pub use mc2ls_influence::{
         auto_block_size, cumulative_probability, influences, influences_blocked,

@@ -4,7 +4,7 @@
 //! bytes of UTF-8 JSON encoding one [`Request`] or [`Response`]. The JSON
 //! shapes are the `serde` derives below (enums externally tagged), so the
 //! protocol is self-describing and diffable with any JSON tool. Frames are
-//! capped at [`MAX_FRAME_LEN`] so a corrupt length prefix cannot force an
+//! capped at 64 MiB (`MAX_FRAME_LEN`) so a corrupt length prefix cannot force an
 //! unbounded allocation.
 //!
 //! Floating-point fields survive the trip bit-for-bit: the workspace JSON
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 
 /// Hard cap on a frame's payload length (64 MiB).
-pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// A client → server message.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -251,7 +251,7 @@ pub enum Response {
 ///
 /// # Errors
 /// Propagates socket write failures.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError> {
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError> {
     let len = u32::try_from(payload.len())
         .map_err(|_| ServeError::FrameTooLarge(payload.len() as u64))?;
     if len > MAX_FRAME_LEN {
@@ -266,20 +266,16 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError>
 /// Reads one frame. `Ok(None)` means the peer closed the connection before
 /// sending another length prefix (the clean end of a conversation).
 ///
+/// A timeout before the frame's first byte is returned at once: it ends an
+/// idle wait. A timeout after it keeps the bytes read so far and asks
+/// `keep_waiting` whether to read on, so a frame that arrives in pieces
+/// stays whole; the timeout is returned only when `keep_waiting` says no.
+///
 /// # Errors
 /// [`ServeError::FrameTooLarge`] on an implausible length prefix,
 /// [`ServeError::ConnectionClosed`] when the peer closes mid-frame,
 /// [`ServeError::Io`] on socket failures (including read timeouts, which
 /// surface as `WouldBlock`/`TimedOut`).
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ServeError> {
-    read_frame_while(r, || false)
-}
-
-/// [`read_frame`] for a socket with a read timeout. A timeout before the
-/// frame's first byte is returned at once: it ends an idle wait. A timeout
-/// after it keeps the bytes read so far and asks `keep_waiting` whether to
-/// read on, so a frame that arrives in pieces stays whole; the timeout is
-/// returned only when `keep_waiting` says no.
 fn read_frame_while(
     r: &mut impl Read,
     mut keep_waiting: impl FnMut() -> bool,
@@ -327,19 +323,21 @@ fn fill(
 /// Serialises `msg` to JSON and writes it as one frame.
 ///
 /// # Errors
-/// Propagates [`write_frame`] failures.
+/// Propagates socket write failures; [`ServeError::FrameTooLarge`] past
+/// the frame cap.
 pub fn send_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), ServeError> {
     let json = serde_json::to_string(msg)
         .map_err(|e| ServeError::Protocol(format!("message failed to serialise: {e}")))?;
     write_frame(w, json.as_bytes())
 }
 
-/// Reads one frame and parses it as `T`. `Ok(None)` mirrors
-/// [`read_frame`]'s clean-close signal.
+/// Reads one frame and parses it as `T`. `Ok(None)` is the peer's clean
+/// close before another length prefix.
 ///
 /// # Errors
 /// [`ServeError::Protocol`] when the payload is not valid JSON of shape
-/// `T`; all [`read_frame`] errors otherwise.
+/// `T`; [`ServeError::FrameTooLarge`], [`ServeError::ConnectionClosed`]
+/// and [`ServeError::Io`] on bad framing or socket failures otherwise.
 pub fn recv_message<T: Deserialize>(r: &mut impl Read) -> Result<Option<T>, ServeError> {
     recv_message_while(r, || false)
 }
@@ -463,7 +461,7 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         buf.extend_from_slice(&[0; 8]);
         assert!(matches!(
-            read_frame(&mut &buf[..]),
+            read_frame_while(&mut &buf[..], || false),
             Err(ServeError::FrameTooLarge(_))
         ));
     }
@@ -529,13 +527,13 @@ mod tests {
     #[test]
     fn truncated_frames_and_clean_closes_are_distinguished() {
         // No bytes at all: clean close.
-        assert!(matches!(read_frame(&mut &[][..]), Ok(None)));
+        assert!(matches!(read_frame_while(&mut &[][..], || false), Ok(None)));
         // Length prefix but a short payload: hard error.
         let mut buf = Vec::new();
         buf.extend_from_slice(&8u32.to_le_bytes());
         buf.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(
-            read_frame(&mut &buf[..]),
+            read_frame_while(&mut &buf[..], || false),
             Err(ServeError::ConnectionClosed)
         ));
         // Garbage JSON is a protocol error.

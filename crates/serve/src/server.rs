@@ -242,11 +242,6 @@ impl Server {
         self.addr
     }
 
-    /// Whether a shutdown has been requested (by a client or locally).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
     /// Blocks until the server has shut down (a client sent
     /// [`Request::Shutdown`]) and every thread has drained and exited.
     pub fn join(mut self) {

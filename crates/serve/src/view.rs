@@ -265,12 +265,15 @@ mod tests {
             assert_eq!(loaded.n_shards(), snap.n_shards());
             assert_eq!(loaded.bytes(), &bytes[..]);
             let views = loaded.shard_views();
-            let total: usize = views.iter().map(|v| v.fwd.total_ids()).sum();
+            let row_ids = |fwd: &mc2ls_core::shard::CsrView<'_>| -> usize {
+                (0..snap.meta.n_candidates).map(|c| fwd.row_len(c)).sum()
+            };
+            let total: usize = views.iter().map(|v| row_ids(&v.fwd)).sum();
             assert_eq!(total, snap.total_influences());
             assert_eq!(views.len(), snap.n_shards());
             for (view, shard) in views.iter().zip(&snap.shards) {
                 assert_eq!(view.n_users as usize, shard.sets.n_users());
-                assert_eq!(view.fwd.total_ids(), shard.sets.total_influences());
+                assert_eq!(row_ids(&view.fwd), shard.sets.total_influences());
                 for c in 0..snap.meta.n_candidates {
                     let got: Vec<u32> = view.fwd.row(c).collect();
                     assert_eq!(got, shard.sets.omega(c));

@@ -466,7 +466,8 @@ fn stalled_connections_hit_the_request_deadline() {
             other => panic!("expected a timeout error, got {other:?}"),
         }
         // After the notice the server closes the connection.
-        let eof = mc2ls_serve::protocol::read_frame(&mut stalled).expect("clean close");
+        let eof: Option<mc2ls_serve::Response> =
+            mc2ls_serve::protocol::recv_message(&mut stalled).expect("clean close");
         assert!(
             eof.is_none(),
             "connection should be closed after the notice"

@@ -13,7 +13,6 @@ mod svg;
 pub use svg::SvgCanvas;
 
 use mc2ls_core::{Problem, Solution};
-use mc2ls_data::Dataset;
 use mc2ls_geo::{Extent, Point, Rect};
 use mc2ls_influence::ProbabilityFunction;
 
@@ -33,16 +32,6 @@ impl Default for RenderOptions {
             max_positions: 20_000,
         }
     }
-}
-
-/// Renders a dataset alone (Fig. 9 style, before selection).
-pub fn render_dataset(dataset: &Dataset, options: &RenderOptions) -> String {
-    let positions: Vec<Point> = dataset
-        .users
-        .iter()
-        .flat_map(|u| u.positions().iter().copied())
-        .collect();
-    render_points(&positions, &[], &[], &[], options)
 }
 
 /// Renders a full scene: user positions (gray), facilities (green),
@@ -157,9 +146,17 @@ mod tests {
                 .map(|i| Point::new(i as f64 * 0.01, 0.0))
                 .collect(),
         )];
-        let dataset = Dataset::new("t".into(), users, vec![Point::ORIGIN], 10.0);
-        let svg = render_dataset(
-            &dataset,
+        let p = Problem::new(
+            users,
+            vec![Point::ORIGIN],
+            vec![Point::ORIGIN],
+            1,
+            0.5,
+            Sigmoid::paper_default(),
+        );
+        let svg = render_scene(
+            &p,
+            None,
             &RenderOptions {
                 width_px: 400,
                 max_positions: 100,

@@ -1,8 +1,6 @@
 //! Integration tests for the layers built on a solved instance: the
-//! analysis reports and the budgeted selector over real influence sets,
-//! and the SVG scene.
+//! analysis reports over real influence sets, and the SVG scene.
 
-use mc2ls::core::algorithms::budgeted::{solve_budgeted, solve_budgeted_exact};
 use mc2ls::core::analysis;
 use mc2ls::prelude::*;
 
@@ -34,27 +32,6 @@ fn analysis_layers_agree_with_solution() {
     let demand = analysis::demand_summary(&sets);
     assert!(demand.total_addressable_weight >= sol.cinf - 1e-9);
     assert!(demand.addressable_users <= p.n_users());
-}
-
-#[test]
-fn budgeted_selection_on_real_sets() {
-    let d = dataset();
-    let p = base_problem(&d, 5);
-    let (sets, _, _) =
-        mc2ls::core::algorithms::influence_sets(&p, Method::Iqt(IqtConfig::default()));
-    // Costs grow with candidate id; a budget of 6 units.
-    let costs: Vec<f64> = (0..sets.n_candidates())
-        .map(|c| 1.0 + (c % 4) as f64)
-        .collect();
-    let sol = solve_budgeted(&sets, &costs, 6.0);
-    let spent: f64 = sol.selected.iter().map(|&c| costs[c as usize]).sum();
-    assert!(spent <= 6.0 + 1e-9);
-    // Compare to the exact optimum on a trimmed instance.
-    let trimmed =
-        mc2ls::core::InfluenceSets::new(sets.to_nested()[..12].to_vec(), sets.f_count.clone());
-    let g = solve_budgeted(&trimmed, &costs[..12], 6.0);
-    let opt = solve_budgeted_exact(&trimmed, &costs[..12], 6.0);
-    assert!(g.cinf >= (1.0 - (-0.5f64).exp()) * opt.cinf - 1e-9);
 }
 
 #[test]
