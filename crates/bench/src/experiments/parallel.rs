@@ -23,8 +23,8 @@
 //! `BENCH_serve`), which replays the exact chunk decomposition and stays
 //! meaningful at any core count.
 //!
-//! Every threaded run is also checked bit-identical to the serial sets
-//! (the pipeline's core invariant).
+//! Every threaded run is also checked bit-identical to the serial run, sets
+//! and `PruneStats` alike (the pipeline's core invariant).
 
 use crate::{Ctx, ExperimentResult};
 use mc2ls::prelude::*;
@@ -122,15 +122,19 @@ pub fn parallel(ctx: &Ctx) -> ExperimentResult {
             ("IQT", Method::Iqt(IqtConfig::default())),
             ("Baseline", Method::Baseline),
         ] {
-            let (reference, _, _) = influence_sets_threaded(&problem, method, 1);
+            let (reference, reference_stats, _) = influence_sets_threaded(&problem, method, 1);
             let timed = |threads: usize| {
                 super::median_of(ctx.reps, || {
                     let t = Instant::now();
-                    let (sets, _, _) = influence_sets_threaded(&problem, method, threads);
+                    let (sets, stats, _) = influence_sets_threaded(&problem, method, threads);
                     let elapsed = t.elapsed();
                     assert_eq!(
                         sets, reference,
                         "{pipeline} diverged from serial at {threads} threads"
+                    );
+                    assert_eq!(
+                        stats, reference_stats,
+                        "{pipeline} PruneStats diverged from serial at {threads} threads"
                     );
                     elapsed
                 })

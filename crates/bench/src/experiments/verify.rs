@@ -133,11 +133,8 @@ fn run_walk_pairs(
     pairs: usize,
 ) -> (KernelRun, KernelRun) {
     let walks: [(&str, BlockedKernel); 2] = [
-        ("vec", influences_blocked_counted::<Sigmoid, EvalCounter>),
-        (
-            "exact",
-            influences_blocked_exact_counted::<Sigmoid, EvalCounter>,
-        ),
+        ("vec", influences_blocked_counted::<Sigmoid>),
+        ("exact", influences_blocked_exact_counted::<Sigmoid>),
     ];
     let mut runs: [Vec<KernelRun>; 2] = [Vec::new(), Vec::new()];
     for p in 0..pairs {
@@ -376,7 +373,7 @@ pub fn verify(ctx: &Ctx) -> ExperimentResult {
             let auto_blocks = PositionBlocks::build(&problem.users, auto_bs);
             let auto_run = run_blocked_kernel(
                 "auto",
-                influences_blocked_counted::<Sigmoid, EvalCounter>,
+                influences_blocked_counted::<Sigmoid>,
                 &problem,
                 &sites,
                 &auto_blocks,

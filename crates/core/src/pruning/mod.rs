@@ -42,8 +42,8 @@ pub fn nib_contains(user_mbr: &Rect, v: &Point, mmr: f64) -> bool {
 }
 
 /// The axis-aligned bounding rectangle of the NIB region (the MBR inflated
-/// by `mMR`), used as the R-tree range-query window; hits are then filtered
-/// exactly with [`nib_contains`].
+/// by `mMR`): k-CIFP's R-tree range-query window and IQT's first test on a
+/// pair; hits are then filtered exactly with [`nib_contains`].
 #[inline]
 pub fn nib_query_rect(user_mbr: &Rect, mmr: f64) -> Rect {
     user_mbr.inflate(mmr)

@@ -62,9 +62,33 @@ impl<'a, PF: ProbabilityFunction> Verifier<'a, PF> {
     /// no-op for `BLOCK_SIZE_PLAIN`). Callers time this under their
     /// indexing phase.
     pub fn build(problem: &'a Problem<PF>) -> Self {
-        let blocks = resolve_block_size(&problem.users, problem.block_size)
-            .map(|bs| PositionBlocks::build(&problem.users, bs));
-        Verifier { problem, blocks }
+        Self::build_beside(problem, 1, || ()).0
+    }
+
+    /// [`Verifier::build`] with `f` run beside it; returns both. At
+    /// `threads ≥ 2` the position blocks fill on one scoped worker while
+    /// `f` runs on the calling thread ([`PositionBlocks::build_beside`]);
+    /// otherwise `f` runs first and the blocks build after it.
+    pub fn build_beside<R>(
+        problem: &'a Problem<PF>,
+        threads: usize,
+        f: impl FnOnce() -> R,
+    ) -> (Self, R) {
+        let resolved = resolve_block_size(&problem.users, problem.block_size);
+        let (blocks, r) = match resolved {
+            Some(bs) if threads >= 2 => {
+                let (blocks, r) = PositionBlocks::build_beside(&problem.users, bs, f);
+                (Some(blocks), r)
+            }
+            _ => {
+                let r = f();
+                (
+                    resolved.map(|bs| PositionBlocks::build(&problem.users, bs)),
+                    r,
+                )
+            }
+        };
+        (Verifier { problem, blocks }, r)
     }
 
     /// A fresh per-worker scratch (buffers + zeroed counters).

@@ -27,7 +27,7 @@ mod codec;
 // descent the paper's traversal does, so builder and traversal classify
 // boundary positions identically, and it is shared with the blocked
 // verification substrate in `mc2ls-influence`.
-use mc2ls_geo::{morton_code, morton_codes, Extent, Point, Rect, Square};
+use mc2ls_geo::{morton_code, morton_codes, Point, Rect, Square};
 use mc2ls_influence::{eta_count, non_influence_radius, MovingUser, ProbabilityFunction};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -524,14 +524,21 @@ impl IQuadTree {
 
 /// The users' padded extent and the depth that halves it down to the leaf
 /// side (saturating; unbounded until [`IQuadTree::build`] checks it).
+///
+/// The extent is the union of the users' cached MBRs, one rectangle per
+/// user instead of one fold step per position. Each MBR comes from the same
+/// min/max fold over that user's positions, so the union has the bounds a
+/// fold over every position would have, up to the sign of a zero bound;
+/// the `1e-6` pad maps `±0.0` to one value, so the root is bit-identical.
 fn frame(users: &[MovingUser], leaf_diagonal: f64) -> (Rect, usize) {
-    let mut extent = Extent::new();
-    for u in users {
-        extent.add_all(u.positions());
-    }
-    let region = extent
-        .padded_rect(1e-6)
-        .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
+    let region = users
+        .iter()
+        .map(|u| *u.mbr())
+        .reduce(|a, b| a.union(&b))
+        .map_or_else(
+            || Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)),
+            |extent| extent.inflate(1e-6),
+        );
     let leaf_side = leaf_diagonal / std::f64::consts::SQRT_2;
     let need = region.width().max(region.height()) / leaf_side;
     (region, need.log2().ceil().max(0.0) as usize)
@@ -590,6 +597,48 @@ mod tests {
             .collect()
     }
 
+    /// The root frame from the users' MBRs equals the frame from a fold
+    /// over every position, bit for bit: with zero bounds of both signs
+    /// (their union may keep a different zero than the fold), with a
+    /// single-position user alone and beside longer ones, and with no user.
+    #[test]
+    fn frame_from_mbrs_matches_a_fold_over_every_position() {
+        let p = Point::new;
+        let cases: Vec<Vec<MovingUser>> = vec![
+            vec![
+                MovingUser::new(vec![p(-0.0, 0.0), p(3.0, -0.0)]),
+                MovingUser::new(vec![p(0.0, -0.0)]),
+                MovingUser::new(vec![p(-0.0, -0.0), p(0.0, 0.0)]),
+            ],
+            vec![
+                MovingUser::new(vec![p(0.0, 0.0)]),
+                MovingUser::new(vec![p(-0.0, -4.0), p(-0.0, -0.0)]),
+            ],
+            vec![MovingUser::new(vec![p(5.5, -2.25)])],
+            vec![
+                MovingUser::new(vec![p(5.5, -2.25)]),
+                MovingUser::new(vec![p(1.0, 1.0), p(9.0, 7.0), p(-3.0, 2.0)]),
+            ],
+            Vec::new(),
+        ];
+        let pf = Sigmoid::paper_default();
+        for (case, users) in cases.iter().enumerate() {
+            let mut extent = mc2ls_geo::Extent::new();
+            for u in users {
+                extent.add_all(u.positions());
+            }
+            let want = extent
+                .padded_rect(1e-6)
+                .unwrap_or_else(|| Rect::new(Point::ORIGIN, Point::new(1.0, 1.0)));
+            let (got, _) = frame(users, 2.0);
+            let bits = |r: &Rect| [r.min.x, r.min.y, r.max.x, r.max.y].map(f64::to_bits);
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            let root = IQuadTree::build(users, &pf, 0.5, 2.0).root_square();
+            assert_eq!(root.origin.x.to_bits(), want.min.x.to_bits(), "case {case}");
+            assert_eq!(root.origin.y.to_bits(), want.min.y.to_bits(), "case {case}");
+        }
+    }
+
     #[test]
     fn build_shape_is_consistent() {
         let users = users_grid();
@@ -619,7 +668,10 @@ mod tests {
         ] {
             let out = t.traverse(&v, &mut scratch);
             // influenced ∩ to_verify = ∅
-            assert!(setops::intersect(&out.influenced, &out.to_verify).is_empty());
+            assert!(out
+                .influenced
+                .iter()
+                .all(|&u| !setops::contains(&out.to_verify, u)));
             for (uid, u) in users.iter().enumerate() {
                 let truth = influences(&pf, &v, u.positions(), tau);
                 let uid = uid as u32;

@@ -1,12 +1,12 @@
 //! Merge-based set operations over **sorted, deduplicated** id vectors.
 //!
 //! The pruning pipeline manipulates many user-id sets (`Ω_inf`, `Ω_vrf`,
-//! `Ω_v`, `Ω_v^NIB`, …). Sorted vectors beat hash sets here: the sets are
-//! built once, iterated many times, and merged pairwise — all linear scans
-//! with no hashing or allocation churn.
+//! `Ω_v`, …). Sorted vectors beat hash sets here: the sets are built once,
+//! iterated many times, and merged pairwise — all linear scans with no
+//! hashing or allocation churn.
 
 /// Merges two sorted id slices into their sorted union.
-pub fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
+fn union(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
@@ -43,24 +43,6 @@ pub fn union_into(a: &mut Vec<u32>, b: &[u32]) {
     *a = union(a, b);
 }
 
-/// Sorted intersection of two sorted id slices.
-pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Sorted difference `a \ b` of two sorted id slices.
 pub fn difference(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len());
@@ -80,12 +62,6 @@ pub fn difference(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[inline]
 pub fn contains(a: &[u32], x: u32) -> bool {
     a.binary_search(&x).is_ok()
-}
-
-/// Sorts and deduplicates in place, producing a canonical set vector.
-pub fn normalize(v: &mut Vec<u32>) {
-    v.sort_unstable();
-    v.dedup();
 }
 
 #[cfg(test)]
@@ -110,12 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_keeps_common() {
-        assert_eq!(intersect(&[1, 2, 3, 5], &[2, 3, 4, 5]), vec![2, 3, 5]);
-        assert_eq!(intersect(&[1, 2], &[3, 4]), Vec::<u32>::new());
-    }
-
-    #[test]
     fn difference_removes_members() {
         assert_eq!(difference(&[1, 2, 3, 4], &[2, 4]), vec![1, 3]);
         assert_eq!(difference(&[1, 2], &[]), vec![1, 2]);
@@ -129,22 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn normalize_sorts_and_dedups() {
-        let mut v = vec![5, 1, 5, 3, 1];
-        normalize(&mut v);
-        assert_eq!(v, vec![1, 3, 5]);
-    }
-
-    #[test]
     fn set_algebra_identity() {
-        // |A ∪ B| = |A| + |B| − |A ∩ B| on arbitrary sorted sets.
+        // |A ∪ B| = |A| + |B \ A| on arbitrary sorted sets.
         let a = vec![1, 4, 6, 8, 11];
         let b = vec![2, 4, 8, 9];
-        assert_eq!(
-            union(&a, &b).len(),
-            a.len() + b.len() - intersect(&a, &b).len()
-        );
-        // A = (A \ B) ∪ (A ∩ B)
-        assert_eq!(union(&difference(&a, &b), &intersect(&a, &b)), a);
+        assert_eq!(union(&a, &b).len(), a.len() + difference(&b, &a).len());
+        // (A \ B) ∪ B = A ∪ B
+        assert_eq!(union(&difference(&a, &b), &b), union(&a, &b));
     }
 }

@@ -62,7 +62,7 @@
 //! [`lane_error_bound`]: ProbabilityFunction::lane_error_bound
 
 use crate::lanes::{pow_n, LANE};
-use crate::{CountEvals, ProbabilityFunction};
+use crate::{EvalCounter, ProbabilityFunction};
 use mc2ls_geo::{morton_codes, ByteReader, ByteWriter, CodecError, Point, Rect, Square};
 use std::cell::Cell;
 
@@ -165,15 +165,61 @@ impl PositionBlocks {
     /// # Panics
     /// Panics when `block_size == 0`.
     pub fn build(users: &[crate::MovingUser], block_size: usize) -> Self {
+        let mut blocks = Self::sized(users, block_size);
+        blocks.fill(users);
+        blocks
+    }
+
+    /// [`PositionBlocks::build`] on one scoped worker thread while `f` runs
+    /// on the calling thread; returns both results. The calling thread
+    /// allocates every array at its final size before the worker starts,
+    /// so the worker only writes into them: the layout lives in the
+    /// caller's allocator arena, as an inline build's would, and equals
+    /// the inline build.
+    ///
+    /// # Panics
+    /// Panics when `block_size == 0`, and re-raises a panic of `f` or of
+    /// the worker.
+    pub fn build_beside<R>(
+        users: &[crate::MovingUser],
+        block_size: usize,
+        f: impl FnOnce() -> R,
+    ) -> (Self, R) {
+        let mut blocks = Self::sized(users, block_size);
+        let r = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| blocks.fill(users));
+            let r = f();
+            // lint:allow(panic-path): join only fails when the worker panicked; re-raising on the spawner is intended
+            worker.join().expect("position-block worker panicked");
+            r
+        });
+        (blocks, r)
+    }
+
+    /// An empty layout whose arrays have exactly the capacity
+    /// [`PositionBlocks::fill`] needs for `users`: one slot per position,
+    /// `⌈len / block_size⌉` blocks per user, so no push reallocates.
+    fn sized(users: &[crate::MovingUser], block_size: usize) -> Self {
         assert!(block_size >= 1, "block_size must be at least 1");
         let total: usize = users.iter().map(crate::MovingUser::len).sum();
-        let mut xs = Vec::with_capacity(total);
-        let mut ys = Vec::with_capacity(total);
-        let mut rects = Vec::new();
-        let mut block_offsets = vec![0u32];
+        let n_blocks: usize = users.iter().map(|u| u.len().div_ceil(block_size)).sum();
+        let mut block_offsets = Vec::with_capacity(n_blocks + 1);
+        block_offsets.push(0u32);
         let mut user_offsets = Vec::with_capacity(users.len() + 1);
         user_offsets.push(0u32);
+        PositionBlocks {
+            xs: Vec::with_capacity(total),
+            ys: Vec::with_capacity(total),
+            rects: Vec::with_capacity(n_blocks),
+            block_offsets,
+            user_offsets,
+            block_size,
+        }
+    }
 
+    /// Appends the blocks of `users` to a layout from
+    /// [`PositionBlocks::sized`] over the same users.
+    fn fill(&mut self, users: &[crate::MovingUser]) {
         let mut codes: Vec<u64> = Vec::new();
         let mut keyed: Vec<(u64, u32)> = Vec::new();
         for u in users {
@@ -185,30 +231,21 @@ impl PositionBlocks {
             keyed.clear();
             keyed.extend(codes.iter().copied().zip(0u32..));
             keyed.sort_unstable();
-            for chunk in keyed.chunks(block_size) {
+            for chunk in keyed.chunks(self.block_size) {
                 let first = u.positions()[chunk[0].1 as usize];
                 let mut rect = Rect::point(first);
                 for &(_, i) in chunk {
                     let p = u.positions()[i as usize];
-                    xs.push(p.x);
-                    ys.push(p.y);
+                    self.xs.push(p.x);
+                    self.ys.push(p.y);
                     rect.expand_to(&p);
                 }
-                rects.push(rect);
+                self.rects.push(rect);
                 // lint:allow(narrowing-cast): total position count fits u32: positions are addressed by u32 ids
-                block_offsets.push(xs.len() as u32);
+                self.block_offsets.push(self.xs.len() as u32);
             }
             // lint:allow(narrowing-cast): block count is bounded by position count, which fits u32
-            user_offsets.push(rects.len() as u32);
-        }
-
-        PositionBlocks {
-            xs,
-            ys,
-            rects,
-            block_offsets,
-            user_offsets,
-            block_size,
+            self.user_offsets.push(self.rects.len() as u32);
         }
     }
 
@@ -542,25 +579,23 @@ pub fn influences_blocked<PF: ProbabilityFunction + ?Sized>(
     tau: f64,
     scratch: &mut BlockScratch,
 ) -> bool {
-    influences_blocked_impl::<PF, crate::EvalCounter>(
-        pf, v, blocks, user, tau, scratch, None, None, false,
-    )
+    influences_blocked_impl(pf, v, blocks, user, tau, scratch, None, None, false)
 }
 
-/// [`influences_blocked`] that also counts evaluated positions (any
-/// [`CountEvals`] impl; the lane kernel counts whole chunks, so a stop
+/// [`influences_blocked`] that also counts evaluated positions (the lane
+/// kernel counts whole chunks into the [`EvalCounter`], so a stop
 /// mid-block still charges the full chunk it evaluated) and block outcomes
 /// (bounded out / opened / fast fallbacks) for the verification-cost
 /// experiments.
 #[allow(clippy::too_many_arguments)] // mirrors influences_counted + block instrumentation
-pub fn influences_blocked_counted<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
+pub fn influences_blocked_counted<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
     blocks: &PositionBlocks,
     user: u32,
     tau: f64,
     scratch: &mut BlockScratch,
-    counter: &C,
+    counter: &EvalCounter,
     block_counters: &BlockCounters,
 ) -> bool {
     influences_blocked_impl(
@@ -589,24 +624,19 @@ pub fn influences_blocked_exact<PF: ProbabilityFunction + ?Sized>(
     tau: f64,
     scratch: &mut BlockScratch,
 ) -> bool {
-    influences_blocked_impl::<PF, crate::EvalCounter>(
-        pf, v, blocks, user, tau, scratch, None, None, true,
-    )
+    influences_blocked_impl(pf, v, blocks, user, tau, scratch, None, None, true)
 }
 
 /// [`influences_blocked_exact`] with evaluation and block counting.
 #[allow(clippy::too_many_arguments)] // mirrors influences_blocked_counted
-pub fn influences_blocked_exact_counted<
-    PF: ProbabilityFunction + ?Sized,
-    C: CountEvals + ?Sized,
->(
+pub fn influences_blocked_exact_counted<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
     blocks: &PositionBlocks,
     user: u32,
     tau: f64,
     scratch: &mut BlockScratch,
-    counter: &C,
+    counter: &EvalCounter,
     block_counters: &BlockCounters,
 ) -> bool {
     influences_blocked_impl(
@@ -710,14 +740,14 @@ fn aggregate_decision(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn influences_blocked_impl<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
+fn influences_blocked_impl<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
     blocks: &PositionBlocks,
     user: u32,
     tau: f64,
     scratch: &mut BlockScratch,
-    counter: Option<&C>,
+    counter: Option<&EvalCounter>,
     block_counters: Option<&BlockCounters>,
     pf_exact: bool,
 ) -> bool {

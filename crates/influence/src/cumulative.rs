@@ -5,25 +5,16 @@ use crate::ProbabilityFunction;
 use mc2ls_geo::Point;
 use std::cell::Cell;
 
-/// Anything that can count position-probability evaluations.
+/// Counts position-probability evaluations.
 ///
 /// The paper's Fig. 15(b)/16(b) report "verification computation cost" — the
 /// number of per-position probability evaluations the verification phase
 /// performs. Threading a `&mut u64` through every call site would infect
-/// read-only query APIs, so counters are interior-mutable. The impl is
-/// [`EvalCounter`] (a `Cell`); the parallel pipeline gives each worker its
+/// read-only query APIs, so the counter is interior-mutable (a `Cell`;
+/// `!Sync` by construction). The parallel pipeline gives each worker its
 /// own and sums them at join — no cache-line ping-pong, and the total is
 /// order-independent, keeping reported statistics identical to a serial
 /// run.
-pub trait CountEvals {
-    /// Adds `n` evaluations.
-    fn add(&self, n: u64);
-
-    /// Current number of evaluated positions.
-    fn get(&self) -> u64;
-}
-
-/// Single-threaded evaluation counter (`Cell`; `!Sync` by construction).
 #[derive(Debug, Default)]
 pub struct EvalCounter(Cell<u64>);
 
@@ -47,17 +38,6 @@ impl EvalCounter {
     /// Resets to zero.
     pub fn reset(&self) {
         self.0.set(0);
-    }
-}
-
-impl CountEvals for EvalCounter {
-    #[inline]
-    fn add(&self, n: u64) {
-        EvalCounter::add(self, n);
-    }
-
-    fn get(&self) -> u64 {
-        EvalCounter::get(self)
     }
 }
 
@@ -105,29 +85,28 @@ pub fn influences<PF: ProbabilityFunction + ?Sized>(
     positions: &[Point],
     tau: f64,
 ) -> bool {
-    influences_impl::<PF, EvalCounter>(pf, v, positions, tau, None)
+    influences_impl(pf, v, positions, tau, None)
 }
 
 /// [`influences`] that also counts how many positions were actually
 /// evaluated before a decision (for the verification-cost experiments).
-/// Accepts any [`CountEvals`] impl; parallel callers give each worker its
-/// own `Cell`-based [`EvalCounter`].
-pub fn influences_counted<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
+/// Parallel callers give each worker its own [`EvalCounter`].
+pub fn influences_counted<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
     positions: &[Point],
     tau: f64,
-    counter: &C,
+    counter: &EvalCounter,
 ) -> bool {
     influences_impl(pf, v, positions, tau, Some(counter))
 }
 
-fn influences_impl<PF: ProbabilityFunction + ?Sized, C: CountEvals + ?Sized>(
+fn influences_impl<PF: ProbabilityFunction + ?Sized>(
     pf: &PF,
     v: &Point,
     positions: &[Point],
     tau: f64,
-    counter: Option<&C>,
+    counter: Option<&EvalCounter>,
 ) -> bool {
     debug_assert!((0.0..=1.0).contains(&tau));
     let target = 1.0 - tau;

@@ -49,9 +49,7 @@ pub use blocks::{
     influences_blocked_exact_counted, resolve_block_size, BlockCounters, BlockScratch,
     PositionBlocks, BLOCK_SIZE_AUTO, BLOCK_SIZE_PLAIN, DEFAULT_BLOCK_SIZE,
 };
-pub use cumulative::{
-    cumulative_probability, influences, influences_counted, CountEvals, EvalCounter,
-};
+pub use cumulative::{cumulative_probability, influences, influences_counted, EvalCounter};
 pub use lanes::{exp_neg, pow_n, FAST_PF_EPS, LANE};
 pub use model::{CompetitionModel, Model};
 pub use pf::{Exponential, ProbabilityFunction, Sigmoid};

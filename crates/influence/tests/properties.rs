@@ -14,6 +14,10 @@ use proptest::prelude::*;
 /// sentinel (resolved per generated dataset).
 const KERNEL_BLOCK_SIZES: [usize; 4] = [1, 4, 16, BLOCK_SIZE_AUTO];
 
+/// Block sizes the worker-filled layout is checked at (3·32 = 96 positions
+/// is the longest user it builds).
+const BESIDE_BLOCK_SIZES: [usize; 3] = [1, 8, 32];
+
 /// Asserts the lane (fast-PF) and exact-`exp` blocked kernels return the
 /// same decision for `user` across a τ sweep that includes both boundaries
 /// and τ sitting *exactly on* the user's cumulative probability (the knife
@@ -257,5 +261,33 @@ proptest! {
         let mut scratch = BlockScratch::new();
         let exact = cumulative_probability(&pf, &v, &vec![p; r]) >= t;
         prop_assert_eq!(influences_blocked(&pf, &v, &blocks, 0, t, &mut scratch), exact);
+    }
+
+    /// A layout filled on a worker thread beside other work equals the
+    /// inline build field for field and passes the structural sanitizer:
+    /// 0–60 users at block sizes {1, 8, 32}, each user's length at, below
+    /// or above a block boundary (1, bs − 1, bs, bs + 1, 3·bs).
+    #[test]
+    fn worker_filled_blocks_equal_the_inline_build(
+        bi in 0usize..3,
+        spec in prop::collection::vec((0usize..5, pt(), prop::collection::vec(pt(), 96..97)), 0..61),
+    ) {
+        let bs = BESIDE_BLOCK_SIZES[bi];
+        let lengths = [1, (bs - 1).max(1), bs, bs + 1, 3 * bs];
+        let us: Vec<MovingUser> = spec
+            .into_iter()
+            .map(|(class, origin, ps)| {
+                MovingUser::new(
+                    ps[..lengths[class]]
+                        .iter()
+                        .map(|p| Point::new(origin.x + 0.05 * p.x, origin.y + 0.05 * p.y))
+                        .collect(),
+                )
+            })
+            .collect();
+        let (beside, answer) = PositionBlocks::build_beside(&us, bs, || us.len() + 1);
+        beside.validate();
+        prop_assert_eq!(answer, us.len() + 1);
+        prop_assert_eq!(&beside, &PositionBlocks::build(&us, bs));
     }
 }
